@@ -20,8 +20,6 @@ from .atoms import (
     Log,
     Param,
     UnknownFn,
-    order_cap,
-    set_order_cap,
 )
 from .expr import DiffExpr, as_expr, equal, ln, primitive_normal
 from .calculus import (
@@ -94,7 +92,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffFn", "IndepVar", "Jet", "Log", "Param", "UnknownFn",
-    "order_cap", "set_order_cap",
     "DiffExpr", "as_expr", "equal", "ln", "primitive_normal",
     "Equation", "PointSymmetry", "characteristic", "euler",
     "partial_coord", "partial_jet", "prolonged_action", "reduce_mod",

@@ -29,30 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEPENDENTS = ("u", "v")
 
-DEFAULT_ORDER_CAP = 12
-_order_cap = DEFAULT_ORDER_CAP
-
-
-def order_cap() -> int:
-    return _order_cap
-
-
-def set_order_cap(cap: int) -> None:
-    """Set the global bound on total jet order.
-
-    Exceeding the cap raises OrderCapError instead of silently truncating.
-    Intended to be configured once at startup; the default of 12 covers
-    fifth-order equations with room for the reductions used here.
-    """
-    global _order_cap
-    if cap < 1:
-        raise ExpressionError("order cap must be at least 1")
-    _order_cap = cap
+# Bound on total jet order: exceeding it raises OrderCapError instead of
+# silently truncating.  12 leaves room for the reductions used here on
+# equations up to seventh order.
+ORDER_CAP = 12
 
 
 def _check_cap(total: int, what: str) -> None:
-    if total > _order_cap:
-        raise OrderCapError(f"{what} exceeds the order cap {_order_cap}")
+    if total > ORDER_CAP:
+        raise OrderCapError(f"{what} exceeds the order cap {ORDER_CAP}")
 
 
 class Atom:

@@ -11,9 +11,10 @@ prolonged action of a point symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cache
+from typing import Callable, Iterator, Optional, Union
 
-from .atoms import Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn, order_cap
+from .atoms import ORDER_CAP, Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from .errors import (
     EquationFormError,
     ExpressionError,
@@ -30,12 +31,17 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     """Extend a derivation on atoms to the whole algebra.
 
     ``atom_rule`` returns the derivative of a single atom (None meaning
-    zero).  The power rule handles integer exponents of either sign.
+    zero).  The power rule handles integer exponents of either sign, and
+    ln(g) differentiates to D(g) * g^-1 under the same rule.
     """
     out = _ZERO
     for factors, coeff in e._terms:
         for i, (atom, exp) in enumerate(factors):
-            da = atom_rule(atom)
+            if isinstance(atom, Log):
+                darg = _leibniz(atom.arg, atom_rule)
+                da = None if darg.is_zero else darg * atom.arg**-1
+            else:
+                da = atom_rule(atom)
             if da is None or da.is_zero:
                 continue
             rest = list(factors)
@@ -48,6 +54,13 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     return out
 
 
+def _coeff_dt(atom: CoeffFn) -> DiffExpr:
+    """D_t of a coefficient function: its declared rule or the next prime."""
+    if atom.rule is not None:
+        return atom.rule
+    return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
+
+
 def _total_atom_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
     def rule(atom: Atom) -> Optional[DiffExpr]:
         if isinstance(atom, IndepVar):
@@ -55,11 +68,7 @@ def _total_atom_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
         if isinstance(atom, Param):
             return None
         if isinstance(atom, CoeffFn):
-            if direction == "x":
-                return None
-            if atom.rule is not None:
-                return atom.rule
-            return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
+            return None if direction == "x" else _coeff_dt(atom)
         if isinstance(atom, Jet):
             return DiffExpr.from_atom(atom.bump(direction))
         if isinstance(atom, UnknownFn):
@@ -67,11 +76,6 @@ def _total_atom_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
             return DiffExpr.from_atom(atom.bump(direction)) + DiffExpr.from_atom(
                 atom.bump("u")
             ) * chain
-        if isinstance(atom, Log):
-            darg = total_derivative(atom.arg, direction)
-            if darg.is_zero:
-                return None
-            return darg * atom.arg**-1
         raise ExpressionError(f"no derivative rule for {atom!r}")
 
     return rule
@@ -87,6 +91,24 @@ def total_derivative(e: Union[DiffExpr, int], direction: str, order: int = 1) ->
     return out
 
 
+def derivative_table(base: DiffExpr) -> Callable[[int, int], DiffExpr]:
+    """Memoized (m, k) -> D_t^m D_x^k base.
+
+    D_x steps are taken first; D_t and D_x commute on this algebra, so the
+    order cannot change a result.
+    """
+
+    @cache
+    def deriv(m: int, k: int) -> DiffExpr:
+        if m:
+            return total_derivative(deriv(m - 1, k), "t")
+        if k:
+            return total_derivative(deriv(0, k - 1), "x")
+        return base
+
+    return deriv
+
+
 def partial_jet(e: DiffExpr, coordinate: Jet) -> DiffExpr:
     """Explicit partial derivative with respect to one jet coordinate.
 
@@ -97,15 +119,8 @@ def partial_jet(e: DiffExpr, coordinate: Jet) -> DiffExpr:
     def rule(atom: Atom) -> Optional[DiffExpr]:
         if atom == coordinate:
             return _ONE
-        if isinstance(atom, UnknownFn):
-            if coordinate == Jet("u", 0, 0):
-                return DiffExpr.from_atom(atom.bump("u"))
-            return None
-        if isinstance(atom, Log):
-            darg = partial_jet(atom.arg, coordinate)
-            if darg.is_zero:
-                return None
-            return darg * atom.arg**-1
+        if isinstance(atom, UnknownFn) and coordinate == Jet("u", 0, 0):
+            return DiffExpr.from_atom(atom.bump("u"))
         return None
 
     return _leibniz(e, rule)
@@ -123,21 +138,21 @@ def partial_coord(e: DiffExpr, coordinate: str) -> DiffExpr:
         if isinstance(atom, IndepVar):
             return _ONE if atom.name == coordinate else None
         if isinstance(atom, CoeffFn):
-            if coordinate == "x":
-                return None
-            if atom.rule is not None:
-                return atom.rule
-            return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
+            return None if coordinate == "x" else _coeff_dt(atom)
         if isinstance(atom, UnknownFn):
             return DiffExpr.from_atom(atom.bump(coordinate))
-        if isinstance(atom, Log):
-            darg = partial_coord(atom.arg, coordinate)
-            if darg.is_zero:
-                return None
-            return darg * atom.arg**-1
         return None
 
     return _leibniz(e, rule)
+
+
+def jet_partials(e: DiffExpr, dep: str) -> Iterator[tuple[Jet, DiffExpr]]:
+    """Nonzero (J, de/du_J) over the jets of ``dep`` in e and ``dep`` itself,
+    in atom order."""
+    for j in sorted(e.jets(dep) | {Jet(dep, 0, 0)}, key=Jet.sort_key):
+        p = partial_jet(e, j)
+        if not p.is_zero:
+            yield j, p
 
 
 def euler(e: DiffExpr, dep: str = "u") -> DiffExpr:
@@ -146,13 +161,8 @@ def euler(e: DiffExpr, dep: str = "u") -> DiffExpr:
     Sum over every jet coordinate of ``dep`` present (each mixed jet once):
     (-1)^(m+k) D_t^m D_x^k (de/du_{t^m x^k}), including the order-zero term.
     """
-    coords = {a for a in e.atoms() if isinstance(a, Jet) and a.dep == dep}
-    coords.add(Jet(dep, 0, 0))
     out = _ZERO
-    for j in sorted(coords, key=lambda a: a.sort_key()):
-        p = partial_jet(e, j)
-        if p.is_zero:
-            continue
+    for j, p in jet_partials(e, dep):
         if j.t_order:
             p = total_derivative(p, "t", j.t_order)
         if j.x_order:
@@ -170,23 +180,8 @@ def substitute_dependent(e: DiffExpr, dep: str, phi: DiffExpr) -> DiffExpr:
     phi = as_expr(phi)
     if not phi.free_of_dep(dep):
         raise SubstitutionError(f"substitution for {dep} must not depend on {dep}")
-    cache: dict[tuple[int, int], DiffExpr] = {(0, 0): phi}
-
-    def deriv(m: int, k: int) -> DiffExpr:
-        got = cache.get((m, k))
-        if got is not None:
-            return got
-        if k > 0:
-            val = total_derivative(deriv(m, k - 1), "x")
-        else:
-            val = total_derivative(deriv(m - 1, 0), "t")
-        cache[(m, k)] = val
-        return val
-
-    mapping = {
-        j: deriv(j.t_order, j.x_order) for j in e.jets(dep)
-    }
-    return e.subs_atoms(mapping)
+    deriv = derivative_table(phi)
+    return e.subs_atoms({j: deriv(j.t_order, j.x_order) for j in e.jets(dep)})
 
 
 def substitute_symbols(e: DiffExpr, values: dict) -> DiffExpr:
@@ -222,32 +217,6 @@ class Equation:
         if not isinstance(lhs, DiffExpr) or lhs.is_zero:
             raise EquationFormError("equation left side must be a nonzero expression")
         dt = Jet(self.dep, 1, 0)
-        seen_plain = False
-        for factors, coeff in lhs._terms:
-            for atom, _exp in factors:
-                bad = (
-                    isinstance(atom, Jet)
-                    and atom.dep == self.dep
-                    and atom.t_order >= 1
-                )
-                if bad and atom != dt:
-                    raise UnsupportedInputError(
-                        f"derivative {atom} is outside the supported "
-                        f"evolution class"
-                    )
-                if bad and len(factors) != 1:
-                    raise EquationFormError(
-                        f"t-derivative {dt} may only appear as the bare "
-                        f"leading term"
-                    )
-                if atom == dt and len(factors) == 1:
-                    if factors[0][1] != 1 or coeff != 1:
-                        raise EquationFormError(
-                            f"coefficient of {dt} must be exactly 1"
-                        )
-                    seen_plain = True
-        if not seen_plain:
-            raise EquationFormError(f"equation must contain {dt}")
         for atom in lhs.atoms():
             if isinstance(atom, Jet) and atom.dep == self.dep and atom.t_order >= 1:
                 if atom != dt:
@@ -259,6 +228,19 @@ class Equation:
                 raise EquationFormError("u-equation must not involve v")
             if isinstance(atom, UnknownFn):
                 raise EquationFormError("equations must not contain unknown functions")
+        seen_plain = False
+        for factors, coeff in lhs._terms:
+            if all(atom != dt for atom, _exp in factors):
+                continue
+            if len(factors) != 1:
+                raise EquationFormError(
+                    f"t-derivative {dt} may only appear as the bare leading term"
+                )
+            if factors[0][1] != 1 or coeff != 1:
+                raise EquationFormError(f"coefficient of {dt} must be exactly 1")
+            seen_plain = True
+        if not seen_plain:
+            raise EquationFormError(f"equation must contain {dt}")
 
     @property
     def solved_rhs(self) -> DiffExpr:
@@ -324,22 +306,7 @@ def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
         if eq.dep in by_dep:
             raise UnsupportedInputError(f"two equations govern {eq.dep}")
         by_dep[eq.dep] = eq
-    caches: dict[str, dict[tuple[int, int], DiffExpr]] = {
-        dep: {(1, 0): eq.solved_rhs} for dep, eq in by_dep.items()
-    }
-
-    def replacement(dep: str, m: int, k: int) -> DiffExpr:
-        cache = caches[dep]
-        got = cache.get((m, k))
-        if got is not None:
-            return got
-        if m > 1:
-            val = total_derivative(replacement(dep, m - 1, k), "t")
-        else:
-            val = total_derivative(replacement(dep, 1, k - 1), "x")
-        cache[(m, k)] = val
-        return val
-
+    tables = {dep: derivative_table(eq.solved_rhs) for dep, eq in by_dep.items()}
     out = as_expr(e)
     while True:
         governed = [
@@ -350,7 +317,7 @@ def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
         if not governed:
             return out
         target = max(governed, key=lambda a: (a.t_order, a.sort_key()))
-        rep = replacement(target.dep, target.t_order, target.x_order)
+        rep = tables[target.dep](target.t_order - 1, target.x_order)
         out = out.subs_atoms({target: rep})
 
 
@@ -363,29 +330,11 @@ def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:
     """
     if eq.dep != "u":
         raise UnsupportedInputError("symmetry action is defined for u-equations")
-    if eq.order + 1 > order_cap():
+    if eq.order + 1 > ORDER_CAP:
         raise UnsupportedInputError("equation order too close to the order cap")
     f = eq.lhs
-    w = characteristic(sym)
+    dw = derivative_table(characteristic(sym))
     acc = sym.tau * total_derivative(f, "t") + sym.xi * total_derivative(f, "x")
-    coords = {a for a in f.atoms() if isinstance(a, Jet) and a.dep == "u"}
-    coords.add(Jet("u", 0, 0))
-    dw_cache: dict[tuple[int, int], DiffExpr] = {(0, 0): w}
-
-    def dw(m: int, k: int) -> DiffExpr:
-        got = dw_cache.get((m, k))
-        if got is not None:
-            return got
-        if k > 0:
-            val = total_derivative(dw(m, k - 1), "x")
-        else:
-            val = total_derivative(dw(m - 1, 0), "t")
-        dw_cache[(m, k)] = val
-        return val
-
-    for j in sorted(coords, key=lambda a: a.sort_key()):
-        p = partial_jet(f, j)
-        if p.is_zero:
-            continue
+    for j, p in jet_partials(f, "u"):
         acc = acc + dw(j.t_order, j.x_order) * p
     return reduce_mod(acc, [eq])

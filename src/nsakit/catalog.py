@@ -20,13 +20,15 @@ from .adjoint import (
     classify_substitution,
     nsa_check,
 )
-from .calculus import (
-    prolonged_action,
-    reduce_mod,
-    substitute_symbols,
-    total_derivative,
+from .calculus import Equation, prolonged_action, substitute_symbols
+from .conslaw import (
+    ConservedVector,
+    density_normalize,
+    ibragimov_vector,
+    is_trivial,
+    localize,
+    verify_divergence,
 )
-from .conslaw import density_normalize, ibragimov_vector, is_trivial, localize, verify_divergence
 from .errors import DeclarationError
 from .expr import DiffExpr
 from .parser import (
@@ -302,7 +304,7 @@ def verify_entry(entry_id: str) -> EntryReport:
         values = _parse_assignments(values_text, decls)
         special = Substitution(substitute_symbols(sub.phi, values))
         special_report = nsa_check(
-            _instantiate(eq, values), special
+            Equation(substitute_symbols(eq.lhs, values), eq.dep), special
         )
         special_got = classify_substitution(special)
         claim(
@@ -339,10 +341,7 @@ def verify_entry(entry_id: str) -> EntryReport:
         sym = doc.symmetries[0]
         raw = ibragimov_vector(eq, sym)
         _, adj = adjoint_system(eq)
-        raw_div = reduce_mod(
-            total_derivative(raw.c0, "t") + total_derivative(raw.c1, "x"),
-            (eq, adj),
-        )
+        raw_div = verify_divergence(raw, (eq, adj))
         claim("raw vector divergence vanishes on the system", raw_div.is_zero,
               "" if raw_div.is_zero else f"residual {raw_div}")
 
@@ -370,7 +369,7 @@ def verify_entry(entry_id: str) -> EntryReport:
             if not isinstance(stmt, ConservedStmt):
                 continue
             reported = verify_divergence(
-                _as_vector(stmt.c0, stmt.c1, normalized), (eq,)
+                ConservedVector(stmt.c0, stmt.c1, normalized.provenance), (eq,)
             )
             if entry.reported_ok:
                 claim(
@@ -412,16 +411,3 @@ def verify_entry(entry_id: str) -> EntryReport:
 
 def verify_all() -> list:
     return [verify_entry(entry.id) for entry in _ENTRIES]
-
-
-def _instantiate(eq, values):
-    from .calculus import Equation
-
-    lhs = substitute_symbols(eq.lhs, values)
-    return Equation(lhs, eq.dep)
-
-
-def _as_vector(c0, c1, like):
-    from .conslaw import ConservedVector
-
-    return ConservedVector(c0, c1, like.provenance)

@@ -1,10 +1,11 @@
 """Conserved vectors from symmetries of evolution equations.
 
-For an equation F = u_t + H(u, u_x, ..., u_5x) = 0 with formal Lagrangian
-L = v*F, every point symmetry (tau, xi, eta) yields a conserved vector
+For an equation F = u_t + H(u, u_x, ..., u_nx) = 0 of order n with formal
+Lagrangian L = v*F, every point symmetry (tau, xi, eta) yields a conserved
+vector
 
     C^t = tau*L + W * dL/du_t,
-    C^x = xi*L + sum_k D_x^k(W) * sum_{m>k} (-1)^(m-k-1) D_x^(m-k-1) dL/du_mx,
+    C^x = xi*L + sum_{k<n} D_x^k(W) * sum_{k<m<=n} (-1)^(m-k-1) D_x^(m-k-1) dL/du_mx,
 
 with characteristic W = eta - tau*u_t - xi*u_x.  The raw components retain
 v and vanish in divergence against the pair (F, F*); substituting a
@@ -26,6 +27,7 @@ from .calculus import (
     Equation,
     PointSymmetry,
     characteristic,
+    derivative_table,
     partial_jet,
     reduce_mod,
     substitute_dependent,
@@ -35,9 +37,6 @@ from .errors import UnsupportedInputError
 from .expr import DiffExpr, Monomial, _factors_key, jet, ln
 
 _ZERO = DiffExpr.zero()
-
-MAX_FLUX_ORDER = 5
-
 
 class UnverifiedSubstitutionWarning(UserWarning):
     """Raised when localizing with a substitution that failed nsa_check."""
@@ -66,33 +65,23 @@ class ConservedVector:
 
 def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
     """Raw conserved vector of the formal Lagrangian; v is retained."""
-    for j in eq.lhs.jets("u"):
-        if j.t_order and j.order() > 1:
-            raise UnsupportedInputError(
-                f"mixed derivative {j} is outside the supported class"
-            )
-        if j.t_order == 0 and j.x_order > MAX_FLUX_ORDER:
-            raise UnsupportedInputError(
-                f"flux construction supports x-order up to {MAX_FLUX_ORDER}"
-            )
     lagrangian = formal_lagrangian(eq)
+    n = eq.order
     w = characteristic(sym)
     c0 = sym.tau * lagrangian + w * partial_jet(lagrangian, Jet("u", 1, 0))
+    dw = derivative_table(w)
     dl = {
-        m: partial_jet(lagrangian, Jet("u", 0, m))
-        for m in range(1, MAX_FLUX_ORDER + 1)
+        m: derivative_table(partial_jet(lagrangian, Jet("u", 0, m)))
+        for m in range(1, n + 1)
     }
     c1 = sym.xi * lagrangian
-    dw = w
-    for k in range(MAX_FLUX_ORDER):
-        if k:
-            dw = total_derivative(dw, "x")
+    for k in range(n):
         bracket = _ZERO
-        for m in range(k + 1, MAX_FLUX_ORDER + 1):
-            piece = total_derivative(dl[m], "x", m - k - 1)
+        for m in range(k + 1, n + 1):
+            piece = dl[m](0, m - k - 1)
             bracket = bracket + (piece if (m - k - 1) % 2 == 0 else -piece)
         if not bracket.is_zero:
-            c1 = c1 + dw * bracket
+            c1 = c1 + dw(0, k) * bracket
     return ConservedVector(c0, c1, Provenance(equation=eq, symmetry=sym))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .atoms import Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
+from .atoms import Atom, IndepVar, Jet, Log, Param, UnknownFn
 from .errors import CollectError, ExpressionError
 
 Factors = tuple  # tuple[tuple[Atom, int], ...] sorted by atom sort key
@@ -121,14 +121,6 @@ class DiffExpr:
         if not self._terms:
             return _ZERO
         return self._terms[0][1]
-
-    def constant_value(self) -> Optional[Fraction]:
-        """The rational value if this expression is a bare constant."""
-        if not self._terms:
-            return _ZERO
-        if len(self._terms) == 1 and not self._terms[0][0]:
-            return self._terms[0][1]
-        return None
 
     def atoms(self, recursive: bool = True) -> Iterator[Atom]:
         """All atoms, descending into ln arguments when recursive."""
@@ -410,10 +402,6 @@ def var(name: str) -> DiffExpr:
 
 def param(name: str) -> DiffExpr:
     return DiffExpr.from_atom(Param(name))
-
-
-def coefffn(name: str, primes: int = 0, rule: Optional[DiffExpr] = None) -> DiffExpr:
-    return DiffExpr.from_atom(CoeffFn(name, primes, rule))
 
 
 def jet(dep: str, t_order: int = 0, x_order: int = 0) -> DiffExpr:

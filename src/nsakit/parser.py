@@ -62,7 +62,6 @@ class Declarations:
 
     params: dict = field(default_factory=dict)
     funcs: dict = field(default_factory=dict)
-    rules: dict = field(default_factory=dict)  # name -> rule text or None
 
     def declare_param(self, name: str) -> None:
         self._check_new(name)
@@ -80,9 +79,6 @@ class Declarations:
             raise DeclarationError(f"{name!r} is reserved")
         if name in self.params or name in self.funcs:
             raise DeclarationError(f"{name!r} is already declared")
-
-    def copy(self) -> "Declarations":
-        return Declarations(dict(self.params), dict(self.funcs), dict(self.rules))
 
 
 # --- statements and documents ----------------------------------------
@@ -404,7 +400,6 @@ class _Parser:
                 if tok.value == "param":
                     name = self._decl_name()
                     self.decls.declare_param(name)
-                    self.decls.rules[name] = None
                 else:
                     name = self._decl_name()
                     self.expect("(")

@@ -77,6 +77,16 @@ def test_partial_derivatives():
     assert partial_coord(e, "t") == U_X
     assert partial_coord(X * T**2, "t") == 2 * X * T
     assert partial_jet(ln(U), Jet("u")) == U**-1
+    assert partial_coord(ln(X * T), "t") == T**-1
+    assert partial_coord(X**2 * ln(X * T), "x") == X + 2 * X * ln(X * T)
+    assert partial_coord(ln(X * T * U), "u") == U**-1
+    assert partial_jet(ln(X * T * U_X), Jet("u", 0, 1)) == U_X**-1
+    # an argument free of the coordinate differentiates to zero, even when
+    # it is a sum and so has no inverse
+    assert partial_coord(U * ln(U + X), "t").is_zero
+    assert partial_jet(U_X * ln(X + T), Jet("u", 0, 1)) == ln(X + T)
+    with pytest.raises(ExpressionError):
+        partial_coord(T * ln(X + T), "t")
 
 
 def test_euler_operator():

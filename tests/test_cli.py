@@ -271,12 +271,27 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
     assert code == 3
     assert err == "error: derivative u_tx is outside the supported evolution class\n"
 
-    code, _, err = run(
+
+def test_conslaw_beyond_fifth_order(capsys, doc_path):
+    code, out, _ = run(
         capsys,
         "conslaw",
         doc_path("u_t + u_xxxxxx = 0; phi = 1;"),
         "--symmetry",
         "tau = 0; xi = 1; eta = 0",
     )
-    assert code == 3
-    assert "flux construction supports x-order up to 5" in err
+    assert code == 0
+    assert out.startswith("status: verified\n")
+
+    seventh = doc_path(
+        "u_t + u_xxxxxxx + u*u_x = 0;\n"
+        "phi = u;\n"
+        "symmetry scal { tau = 7*t; xi = x; eta = -6*u; }\n"
+    )
+    code, out, _ = run(capsys, "check-symmetry", seventh, "--symmetry", "scal")
+    assert (code, out) == (0, "status: verified\nresidual: 0\n")
+    code, out, _ = run(capsys, "conslaw", seventh, "--symmetry", "scal", "--normalize")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["status: verified", "c0: 11/2*u^2"]
+    assert lines[-1] == "divergence_residual: 0"

@@ -17,6 +17,8 @@ from nsakit import (
     is_trivial,
     ln,
     localize,
+    parse_document,
+    prolonged_action,
     total_derivative,
     verify_divergence,
 )
@@ -212,10 +214,25 @@ def test_is_trivial():
     assert not is_trivial(real, scaling_equation())
 
 
-def test_flux_order_cap():
+def test_flux_order_follows_the_equation():
     sixth = Equation(
         DiffExpr.from_atom(Jet("u", 1, 0)) + DiffExpr.from_atom(Jet("u", 0, 6))
     )
     shift = PointSymmetry(DiffExpr.zero(), DiffExpr.one(), DiffExpr.zero())
-    with pytest.raises(UnsupportedInputError, match="x-order up to 5"):
-        ibragimov_vector(sixth, shift)
+    raw = ibragimov_vector(sixth, shift)
+    assert verify_divergence(raw, adjoint_system(sixth)).is_zero
+    vec = localize(raw, Substitution(DiffExpr.one()))
+    assert verify_divergence(vec, sixth).is_zero
+
+    doc = parse_document(
+        "u_t + u_xxxxxxx + u*u_x = 0;\n"
+        "phi = u;\n"
+        "symmetry scal { tau = 7*t; xi = x; eta = -6*u; }\n"
+    )
+    eq, sym = doc.equations[0], doc.symmetry("scal")
+    assert prolonged_action(sym, eq).is_zero
+    raw = ibragimov_vector(eq, sym)
+    assert verify_divergence(raw, adjoint_system(eq)).is_zero
+    vec = density_normalize(localize(raw, Substitution(doc.substitutions[0])), eq)
+    assert vec.c0 == Fraction(11, 2) * U**2
+    assert verify_divergence(vec, eq).is_zero

@@ -5,16 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nsakit import DiffExpr, as_expr, equal, ln, primitive_normal
-from nsakit.atoms import (
-    CoeffFn,
-    IndepVar,
-    Jet,
-    Log,
-    Param,
-    UnknownFn,
-    order_cap,
-    set_order_cap,
-)
+from nsakit.atoms import ORDER_CAP, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from nsakit.errors import CollectError, ExpressionError, OrderCapError
 
 T = DiffExpr.from_atom(IndepVar("t"))
@@ -151,16 +142,9 @@ def test_as_expr_and_equal():
 
 
 def test_order_cap_blocks_huge_jets():
-    assert order_cap() == 12
+    assert ORDER_CAP == 12
     with pytest.raises(OrderCapError):
         Jet("u", 0, 13)
-    set_order_cap(20)
-    try:
-        assert Jet("u", 0, 13).order() == 13
-        with pytest.raises(OrderCapError):
-            Jet("u", 0, 21)
-    finally:
-        set_order_cap(12)
 
 
 def test_unknown_function_and_log_sort_keys_are_stable():
