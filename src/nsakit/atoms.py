@@ -19,7 +19,7 @@ UnknownFn < Jet < Log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ExpressionError, OrderCapError
@@ -80,15 +80,14 @@ class CoeffFn(Atom):
     """Coefficient function of t.
 
     ``rule`` is the declared t-derivative, or None for the primed-symbol
-    chain.  The rule may reference the atom itself (e.g. D_t f = p*f/t),
-    so it is excluded from equality and hashing: identity is (name, primes).
-    Atoms for one name must be created through a single declaration to keep
-    rules consistent.
+    chain.  The rule is part of the atom's identity.  Inside a rule the bare
+    ``CoeffFn(name)`` stands for the atom itself (e.g. D_t f = p*f/t is
+    stored with the rule-less f), so no atom contains itself.
     """
 
     name: str
     primes: int = 0
-    rule: Optional["DiffExpr"] = field(default=None, compare=False, repr=False)
+    rule: Optional["DiffExpr"] = None
 
     def __post_init__(self):
         if self.primes < 0:
@@ -97,7 +96,9 @@ class CoeffFn(Atom):
             raise ExpressionError("explicitly ruled functions do not take primes")
 
     def sort_key(self) -> tuple:
-        return (2, self.name, self.primes)
+        if self.rule is None:
+            return (2, self.name, self.primes)
+        return (2, self.name, self.primes, self.rule.sort_key())
 
     def __str__(self) -> str:
         return self.name + "'" * self.primes
@@ -192,10 +193,3 @@ class Log(Atom):
     def __str__(self) -> str:
         return f"ln({self.arg})"
 
-
-T = IndepVar("t")
-X = IndepVar("x")
-U = Jet("u")
-V = Jet("v")
-U_T = Jet("u", 1, 0)
-U_X = Jet("u", 0, 1)

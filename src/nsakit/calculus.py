@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterator, Optional, Union
 
 from .atoms import ORDER_CAP, Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .expr import DiffExpr, as_expr, jet
 
-_ZERO = DiffExpr.zero()
 _ONE = DiffExpr.one()
 
 
@@ -34,30 +34,32 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     zero).  The power rule handles integer exponents of either sign, and
     ln(g) differentiates to D(g) * g^-1 under the same rule.
     """
-    out = _ZERO
-    for factors, coeff in e._terms:
-        for i, (atom, exp) in enumerate(factors):
-            if isinstance(atom, Log):
-                darg = _leibniz(atom.arg, atom_rule)
-                da = None if darg.is_zero else darg * atom.arg**-1
-            else:
-                da = atom_rule(atom)
-            if da is None or da.is_zero:
-                continue
-            rest = list(factors)
-            if exp == 1:
-                del rest[i]
-            else:
-                rest[i] = (atom, exp - 1)
-            base = DiffExpr._raw(((tuple(rest), coeff * exp),))
-            out = out + base * da
-    return out
+
+    def pieces() -> Iterator[DiffExpr]:
+        for factors, coeff in e._terms:
+            for i, (atom, exp) in enumerate(factors):
+                if isinstance(atom, Log):
+                    darg = _leibniz(atom.arg, atom_rule)
+                    da = None if darg.is_zero else darg * atom.arg**-1
+                else:
+                    da = atom_rule(atom)
+                if da is None or da.is_zero:
+                    continue
+                rest = list(factors)
+                if exp == 1:
+                    del rest[i]
+                else:
+                    rest[i] = (atom, exp - 1)
+                yield DiffExpr._raw(((tuple(rest), coeff * exp),)) * da
+
+    return DiffExpr.sum(pieces())
 
 
 def _coeff_dt(atom: CoeffFn) -> DiffExpr:
-    """D_t of a coefficient function: its declared rule or the next prime."""
+    """D_t of a coefficient function: its declared rule, where the bare
+    CoeffFn(name) stands for the atom itself, or the next prime."""
     if atom.rule is not None:
-        return atom.rule
+        return atom.rule.subs_atoms({CoeffFn(atom.name): DiffExpr.from_atom(atom)})
     return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
 
 
@@ -72,10 +74,10 @@ def _total_atom_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
         if isinstance(atom, Jet):
             return DiffExpr.from_atom(atom.bump(direction))
         if isinstance(atom, UnknownFn):
-            chain = jet("u", 1 if direction == "t" else 0, 1 if direction == "x" else 0)
+            du = jet("u", 1 if direction == "t" else 0, 1 if direction == "x" else 0)
             return DiffExpr.from_atom(atom.bump(direction)) + DiffExpr.from_atom(
                 atom.bump("u")
-            ) * chain
+            ) * du
         raise ExpressionError(f"no derivative rule for {atom!r}")
 
     return rule
@@ -161,14 +163,12 @@ def euler(e: DiffExpr, dep: str = "u") -> DiffExpr:
     Sum over every jet coordinate of ``dep`` present (each mixed jet once):
     (-1)^(m+k) D_t^m D_x^k (de/du_{t^m x^k}), including the order-zero term.
     """
-    out = _ZERO
-    for j, p in jet_partials(e, dep):
-        if j.t_order:
-            p = total_derivative(p, "t", j.t_order)
-        if j.x_order:
-            p = total_derivative(p, "x", j.x_order)
-        out = out + (p if j.order() % 2 == 0 else -p)
-    return out
+
+    def term(j: Jet, p: DiffExpr) -> DiffExpr:
+        p = total_derivative(total_derivative(p, "t", j.t_order), "x", j.x_order)
+        return -p if j.order() % 2 else p
+
+    return DiffExpr.sum(term(j, p) for j, p in jet_partials(e, dep))
 
 
 def substitute_dependent(e: DiffExpr, dep: str, phi: DiffExpr) -> DiffExpr:
@@ -334,7 +334,10 @@ def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:
         raise UnsupportedInputError("equation order too close to the order cap")
     f = eq.lhs
     dw = derivative_table(characteristic(sym))
-    acc = sym.tau * total_derivative(f, "t") + sym.xi * total_derivative(f, "x")
-    for j, p in jet_partials(f, "u"):
-        acc = acc + dw(j.t_order, j.x_order) * p
-    return reduce_mod(acc, [eq])
+    action = DiffExpr.sum(
+        chain(
+            (sym.tau * total_derivative(f, "t"), sym.xi * total_derivative(f, "x")),
+            (dw(j.t_order, j.x_order) * p for j, p in jet_partials(f, "u")),
+        )
+    )
+    return reduce_mod(action, [eq])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .atoms import Jet, Log
 from .adjoint import Substitution, formal_lagrangian, nsa_check
@@ -36,7 +36,6 @@ from .calculus import (
 from .errors import UnsupportedInputError
 from .expr import DiffExpr, Monomial, _factors_key, jet, ln
 
-_ZERO = DiffExpr.zero()
 
 class UnverifiedSubstitutionWarning(UserWarning):
     """Raised when localizing with a substitution that failed nsa_check."""
@@ -47,7 +46,7 @@ class Provenance:
     equation: Optional[Equation] = None
     symmetry: Optional[PointSymmetry] = None
     substitution: Optional[Substitution] = None
-    transfer: DiffExpr = _ZERO
+    transfer: DiffExpr = DiffExpr.zero()
     sign: int = 1
 
 
@@ -74,14 +73,16 @@ def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
         m: derivative_table(partial_jet(lagrangian, Jet("u", 0, m)))
         for m in range(1, n + 1)
     }
-    c1 = sym.xi * lagrangian
-    for k in range(n):
-        bracket = _ZERO
-        for m in range(k + 1, n + 1):
-            piece = dl[m](0, m - k - 1)
-            bracket = bracket + (piece if (m - k - 1) % 2 == 0 else -piece)
-        if not bracket.is_zero:
-            c1 = c1 + dw(0, k) * bracket
+
+    def flux_pieces() -> Iterator[DiffExpr]:
+        yield sym.xi * lagrangian
+        for k in range(n):
+            derivs = (dl[m](0, m - k - 1) for m in range(k + 1, n + 1))
+            bracket = DiffExpr.sum(-d if i % 2 else d for i, d in enumerate(derivs))
+            if not bracket.is_zero:
+                yield dw(0, k) * bracket
+
+    c1 = DiffExpr.sum(flux_pieces())
     return ConservedVector(c0, c1, Provenance(equation=eq, symmetry=sym))
 
 
@@ -187,7 +188,7 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
         if isinstance(atom, Jet) and atom.dep == "v":
             raise UnsupportedInputError("normalize a localized (v-free) vector")
     work = cv.c0
-    h = _ZERO
+    h_pieces = []
     seen = {work}
     while True:
         ordered = sorted(
@@ -204,10 +205,11 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
             break
         h_piece, residual = step
         work = work - mono + residual
-        h = h + h_piece
+        h_pieces.append(h_piece)
         if work in seen:
             break
         seen.add(work)
+    h = DiffExpr.sum(h_pieces)
     a1 = cv.c1 + total_derivative(h, "t")
     sign = 1
     if work.leading_coeff() < 0:

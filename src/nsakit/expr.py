@@ -80,9 +80,19 @@ class DiffExpr:
 
     @classmethod
     def _from_dict(cls, data: dict) -> "DiffExpr":
+        """The one normalization: drop zero coefficients, sort monomials."""
         items = [(f, c) for f, c in data.items() if c]
         items.sort(key=lambda it: _factors_key(it[0]))
         return cls._raw(tuple(items))
+
+    @classmethod
+    def sum(cls, summands: Iterable[Scalar]) -> "DiffExpr":
+        """Sum of expressions and rationals, merged and normalized once."""
+        data: dict = {}
+        for s in summands:
+            for f, c in as_expr(s)._terms:
+                data[f] = data.get(f, 0) + c
+        return cls._from_dict(data)
 
     @classmethod
     def zero(cls) -> "DiffExpr":
@@ -162,14 +172,7 @@ class DiffExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for f, c in o._terms:
-            acc = data.get(f, _ZERO) + c
-            if acc:
-                data[f] = acc
-            elif f in data:
-                del data[f]
-        return DiffExpr._from_dict(data)
+        return DiffExpr.sum((self, o))
 
     __radd__ = __add__
 
@@ -201,20 +204,11 @@ class DiffExpr:
                 if f2:
                     merged = dict(base)
                     for atom, exp in f2:
-                        acc = merged.get(atom, 0) + exp
-                        if acc:
-                            merged[atom] = acc
-                        elif atom in merged:
-                            del merged[atom]
-                    key = _sorted_factors(merged.items())
+                        merged[atom] = merged.get(atom, 0) + exp
+                    key = _sorted_factors(it for it in merged.items() if it[1])
                 else:
                     key = f1
-                c = c1 * c2
-                acc = data.get(key, _ZERO) + c
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
+                data[key] = data.get(key, 0) + c1 * c2
         return DiffExpr._from_dict(data)
 
     __rmul__ = __mul__
@@ -263,8 +257,8 @@ class DiffExpr:
         """
         if not mapping:
             return self
-        out = _ZERO_EXPR
-        for factors, coeff in self._terms:
+
+        def image(factors: Factors, coeff: Fraction) -> DiffExpr:
             term = DiffExpr.number(coeff)
             for atom, exp in factors:
                 target = mapping.get(atom)
@@ -276,8 +270,9 @@ class DiffExpr:
                     term = term * DiffExpr.from_atom(atom, exp)
                 else:
                     term = term * target**exp
-            out = out + term
-        return out
+            return term
+
+        return DiffExpr.sum(image(f, c) for f, c in self._terms)
 
     def collect(self, selected: Iterable[Atom]) -> list:
         """Group terms by their power products over the selected atoms.
@@ -303,11 +298,7 @@ class DiffExpr:
             key = tuple(it for it in factors if it[0] in chosen)
             rest = tuple(it for it in factors if it[0] not in chosen)
             data = groups.setdefault(key, {})
-            acc = data.get(rest, _ZERO) + coeff
-            if acc:
-                data[rest] = acc
-            elif rest in data:
-                del data[rest]
+            data[rest] = data.get(rest, 0) + coeff
         out = []
         for key in sorted(groups, key=_factors_key):
             coeff_expr = DiffExpr._from_dict(groups[key])

@@ -69,10 +69,7 @@ class Declarations:
 
     def declare_func(self, name: str, rule: Optional[DiffExpr]) -> None:
         self._check_new(name)
-        atom = CoeffFn(name)
-        if rule is not None:
-            object.__setattr__(atom, "rule", rule)
-        self.funcs[name] = atom
+        self.funcs[name] = CoeffFn(name, rule=rule)
 
     def _check_new(self, name: str) -> None:
         if name in RESERVED:
@@ -313,12 +310,12 @@ class _Parser:
     # expressions
 
     def parse_expr(self) -> DiffExpr:
-        e = self.parse_term()
+        terms = [self.parse_term()]
         while self.peek().kind == "PUNCT" and self.peek().value in "+-":
             op = self.next().value
             rhs = self.parse_term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            terms.append(rhs if op == "+" else -rhs)
+        return DiffExpr.sum(terms)
 
     def parse_term(self) -> DiffExpr:
         negate = False
@@ -405,17 +402,14 @@ class _Parser:
                     self.expect("(")
                     self.expect("t")
                     self.expect(")")
-                    rule = None
+                    # the bare function may appear in its own rule
+                    self.decls.declare_func(name, None)
                     if self.peek().kind == "IDENT" and self.peek().value == "deriv":
                         self.next()
                         self.expect("=")
-                        # the function may appear in its own rule
-                        self.decls.declare_func(name, None)
                         rule = self.parse_expr()
                         _check_rule_closed(rule, name, tok)
-                        object.__setattr__(self.decls.funcs[name], "rule", rule)
-                    else:
-                        self.decls.declare_func(name, None)
+                        self.decls.funcs[name] = CoeffFn(name, rule=rule)
                 self.expect(";")
             except DeclarationError as exc:
                 if exc.line:

@@ -1,8 +1,10 @@
 """Total derivatives, Euler operator, substitutions, equations, symmetries."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from genexpr import A_FN, random_expr
 
 from nsakit import (
     DiffExpr,
@@ -12,6 +14,7 @@ from nsakit import (
     equal,
     euler,
     ln,
+    parse_document,
     parse_expression,
     prolonged_action,
     reduce_mod,
@@ -52,15 +55,56 @@ def test_total_t_derivative_of_functions():
     assert total_derivative(a, "x").is_zero
     # a declared rule short-circuits the prime chain
     rule = DiffExpr.from_atom(CoeffFn("a"))
-    big = CoeffFn("A")
-    object.__setattr__(big, "rule", rule)
+    big = CoeffFn("A", rule=rule)
     assert total_derivative(DiffExpr.from_atom(big), "t") == rule
+    # inside its rule the bare f stands for the ruled atom itself
     p = DiffExpr.from_atom(Param("p"))
-    f = CoeffFn("f")
-    object.__setattr__(f, "rule", p * DiffExpr.from_atom(f) * T**-1)
+    f = CoeffFn("f", rule=p * DiffExpr.from_atom(CoeffFn("f")) * T**-1)
     assert total_derivative(DiffExpr.from_atom(f), "t") == (
         p * DiffExpr.from_atom(f) * T**-1
     )
+
+
+def test_declared_rule_is_part_of_function_identity():
+    ruled = parse_document("func f(t) deriv = f; u_t + f*u_x = 0;")
+    plain = parse_document("func f(t); u_t + f*u_x = 0;")
+    a = ruled.equations[0].lhs
+    b = plain.equations[0].lhs
+    assert a != b
+    assert not (a - b).is_zero
+    f_ruled = DiffExpr.from_atom(ruled.declarations.funcs["f"])
+    f_plain = DiffExpr.from_atom(plain.declarations.funcs["f"])
+    u_tt = DiffExpr.from_atom(Jet("u", 2, 0))
+    assert total_derivative(a, "t") == u_tt + f_ruled * (U_X + U_TX)
+    assert total_derivative(b, "t") == (
+        u_tt + DiffExpr.from_atom(CoeffFn("f", 1)) * U_X + f_plain * U_TX
+    )
+    # a sum keeps the two apart instead of merging them as 2*f*u_x
+    assert len((a + b).terms) == 3
+
+
+def test_total_derivative_normalizes_a_bounded_amount(monkeypatch):
+    # each monomial of the result is normalized a bounded number of times,
+    # not once per partial sum
+    rng = random.Random(5)
+    atoms = (IndepVar("t"), IndepVar("x"), Param("p"), A_FN) + tuple(
+        Jet("u", 0, k) for k in range(4)
+    )
+    e = DiffExpr.zero()
+    while len(e.terms) < 100:
+        e = e + random_expr(
+            rng, atoms=atoms, max_terms=1, log_args=(), allow_negative_exp=False
+        )
+    normalize = DiffExpr._from_dict
+    sizes = []
+
+    def counting(cls, data):
+        sizes.append(len(data))
+        return normalize(data)
+
+    monkeypatch.setattr(DiffExpr, "_from_dict", classmethod(counting))
+    total_derivative(e, "x")
+    assert sum(sizes) <= 4 * len(e.terms)
 
 
 def test_total_derivative_of_logarithms():

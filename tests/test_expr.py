@@ -1,8 +1,12 @@
 """Exact-arithmetic expression core: construction, normal form, printing."""
 
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
+from genexpr import random_expr
 
 from nsakit import DiffExpr, as_expr, equal, ln, primitive_normal
 from nsakit.atoms import ORDER_CAP, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
@@ -104,6 +108,37 @@ def test_subs_atoms_rewrites_log_arguments():
     assert swapped == ln(v) + v
 
 
+def test_sum_accepts_numbers_and_cancels():
+    assert DiffExpr.sum([]) == DiffExpr.zero()
+    assert DiffExpr.sum(iter(())).is_zero
+    assert DiffExpr.sum([U, 2, Fraction(1, 2), X]) == U + X + Fraction(5, 2)
+    assert DiffExpr.sum([U + 1, -U, -1]).is_zero
+    assert DiffExpr.sum([U, U, -2 * U]).is_zero
+
+
+def test_sum_equals_the_left_fold_of_addition():
+    rng = random.Random(20240611)
+    for _ in range(100):
+        pieces = [random_expr(rng) for _ in range(rng.randint(0, 6))]
+        assert DiffExpr.sum(pieces) == reduce(add, pieces, DiffExpr.zero())
+
+
+def test_sum_normalizes_once(monkeypatch):
+    normalize = DiffExpr._from_dict
+    calls = []
+
+    def counting(cls, data):
+        calls.append(len(data))
+        return normalize(data)
+
+    pieces = [U + X, 3, -U, U_X * U, Fraction(-3)]
+    expected = X + U * U_X
+    monkeypatch.setattr(DiffExpr, "_from_dict", classmethod(counting))
+    total = DiffExpr.sum(pieces)
+    assert calls == [4]
+    assert total == expected
+
+
 def test_collect_groups_by_selected_jets():
     u_x, u_xx = Jet("u", 0, 1), Jet("u", 0, 2)
     e = A * U_X**2 + T * U_X**2 + P * U_XX + U
@@ -113,10 +148,7 @@ def test_collect_groups_by_selected_jets():
     assert table["u_xx"] == P
     assert table["1"] == U
     # reconstruction is exact
-    total = DiffExpr.zero()
-    for key, coeff in pairs:
-        total = total + key.as_expr() * coeff
-    assert total == e
+    assert DiffExpr.sum(key.as_expr() * coeff for key, coeff in pairs) == e
 
 
 def test_collect_rejects_negative_selected_powers():
