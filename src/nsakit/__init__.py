@@ -76,8 +76,6 @@ from .parser import (
     parse_expression,
     parse_symmetry,
     print_document,
-    print_equation,
-    print_expression,
 )
 from .catalog import (
     CatalogEntry,
@@ -107,7 +105,7 @@ __all__ = [
     "SubstitutionError", "UnsupportedInputError",
     "Declarations", "ReorderedSubscriptWarning", "SourceDocument",
     "parse_document", "parse_expression", "parse_symmetry",
-    "print_document", "print_equation", "print_expression",
+    "print_document",
     "CatalogEntry", "catalog_entries", "catalog_entry", "load_fixture",
     "verify_all", "verify_entry",
     "__version__",

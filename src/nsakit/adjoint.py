@@ -116,6 +116,12 @@ class NsaReport:
         return f"nonlinear self-adjointness {verdict}{extra}"
 
 
+def _nsa_residual(eq: Equation, phi: DiffExpr) -> DiffExpr:
+    """F*|_{v=phi} + phi_u*F, zero exactly when F* = -phi_u*F under v = phi."""
+    fstar = substitute_dependent(adjoint_equation(eq), "v", phi)
+    return fstar + partial_coord(phi, "u") * eq.lhs
+
+
 def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     """Decide F*|_{v=phi} = lambda*F with lambda = -phi_u.
 
@@ -125,8 +131,7 @@ def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     """
     phi = sub.phi
     lam = -partial_coord(phi, "u")
-    fstar = adjoint_equation(eq)
-    residual = substitute_dependent(fstar, "v", phi) - lam * eq.lhs
+    residual = _nsa_residual(eq, phi)
     holds = residual.is_zero
     partials = tuple(
         name
@@ -142,9 +147,7 @@ def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     )
 
 
-def determining_system_detailed(
-    eq: Equation, name: str = "phi"
-) -> list[tuple[Monomial, DiffExpr]]:
+def determining_system_detailed(eq: Equation) -> list[tuple[Monomial, DiffExpr]]:
     """Keyed determining equations for an undetermined phi(x, t, u).
 
     Expands F*|_{v=phi} + phi_u*F and collects over every monomial in the
@@ -152,9 +155,7 @@ def determining_system_detailed(
     primitive integer form, must vanish.  The u_t coefficient cancels
     identically, which is exactly why the multiplier is forced.
     """
-    phi0 = unknown(name)
-    fstar = adjoint_equation(eq)
-    residual = substitute_dependent(fstar, "v", phi0) + unknown(name, u=1) * eq.lhs
+    residual = _nsa_residual(eq, unknown("phi"))
     selected = {j for j in residual.jets("u") if j.order() >= 1}
     return [
         (key, primitive_normal(coeff))
@@ -162,11 +163,11 @@ def determining_system_detailed(
     ]
 
 
-def determining_system(eq: Equation, name: str = "phi") -> list[DiffExpr]:
+def determining_system(eq: Equation) -> list[DiffExpr]:
     """Determining equations, deduplicated and deterministically ordered."""
     seen = set()
     out = []
-    for _key, coeff in determining_system_detailed(eq, name):
+    for _key, coeff in determining_system_detailed(eq):
         if coeff not in seen:
             seen.add(coeff)
             out.append(coeff)

@@ -249,7 +249,7 @@ class Equation:
 
     @property
     def order(self) -> int:
-        return max((j.order() for j in self.lhs.jets(self.dep)), default=0)
+        return self.lhs.max_order(self.dep)
 
     def __str__(self) -> str:
         return f"{self.lhs} = 0"

@@ -9,7 +9,7 @@ scratch and flags any reported component that fails the divergence check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -22,7 +22,6 @@ from .adjoint import (
 )
 from .calculus import Equation, prolonged_action, substitute_symbols
 from .conslaw import (
-    ConservedVector,
     density_normalize,
     ibragimov_vector,
     is_trivial,
@@ -30,9 +29,7 @@ from .conslaw import (
     verify_divergence,
 )
 from .errors import DeclarationError
-from .expr import DiffExpr
 from .parser import (
-    ConservedStmt,
     Declarations,
     SourceDocument,
     parse_document,
@@ -365,12 +362,8 @@ def verify_entry(entry_id: str) -> EntryReport:
                 f"got ({normalized.c0}, {normalized.c1})",
             )
 
-        for stmt in doc.statements:
-            if not isinstance(stmt, ConservedStmt):
-                continue
-            reported = verify_divergence(
-                ConservedVector(stmt.c0, stmt.c1, normalized.provenance), (eq,)
-            )
+        for stmt in doc.conserved:
+            reported = verify_divergence(stmt, (eq,))
             if entry.reported_ok:
                 claim(
                     "reported vector passes the divergence check",

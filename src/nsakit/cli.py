@@ -30,16 +30,7 @@ from .conslaw import (
     localize,
     verify_divergence,
 )
-from .errors import (
-    CollectError,
-    EquationFormError,
-    ExpressionError,
-    NsaError,
-    OrderCapError,
-    ParseError,
-    SubstitutionError,
-    UnsupportedInputError,
-)
+from .errors import NsaError, OrderCapError, ParseError, UnsupportedInputError
 from .expr import DiffExpr
 from .parser import (
     SourceDocument,
@@ -49,13 +40,6 @@ from .parser import (
     print_document,
 )
 
-_INPUT_ERRORS = (
-    ParseError,
-    EquationFormError,
-    SubstitutionError,
-    ExpressionError,
-    CollectError,
-)
 _UNSUPPORTED_ERRORS = (OrderCapError, UnsupportedInputError)
 
 
@@ -312,8 +296,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _UNSUPPORTED_ERRORS as exc:
         return _report_error(args, str(exc), 3)
-    except _INPUT_ERRORS as exc:
-        return _report_error(args, str(exc), 2)
     except NsaError as exc:
         return _report_error(args, str(exc), 2)
 

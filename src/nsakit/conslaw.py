@@ -34,7 +34,7 @@ from .calculus import (
     total_derivative,
 )
 from .errors import UnsupportedInputError
-from .expr import DiffExpr, Monomial, _factors_key, jet, ln
+from .expr import DiffExpr, _factors_key, jet, ln
 
 
 class UnverifiedSubstitutionWarning(UserWarning):
@@ -139,7 +139,7 @@ def _transfer_candidate(factors, coeff):
                 return None
             jets_x[atom.x_order] = exp
         if isinstance(atom, Log):
-            for inner in atom.arg.atoms(recursive=True):
+            for inner in atom.arg.atoms():
                 if isinstance(inner, Jet) and inner.t_order:
                     return None
     k = max((o for o in jets_x if o >= 1), default=0)
@@ -158,7 +158,7 @@ def _transfer_candidate(factors, coeff):
             inner_order = max(
                 (
                     a.x_order
-                    for a in atom.arg.atoms(recursive=True)
+                    for a in atom.arg.atoms()
                     if isinstance(a, Jet)
                 ),
                 default=0,

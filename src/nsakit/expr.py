@@ -132,13 +132,13 @@ class DiffExpr:
             return _ZERO
         return self._terms[0][1]
 
-    def atoms(self, recursive: bool = True) -> Iterator[Atom]:
-        """All atoms, descending into ln arguments when recursive."""
+    def atoms(self) -> Iterator[Atom]:
+        """All atoms, descending into ln arguments."""
         for factors, _ in self._terms:
             for atom, _exp in factors:
                 yield atom
-                if recursive and isinstance(atom, Log):
-                    yield from atom.arg.atoms(recursive=True)
+                if isinstance(atom, Log):
+                    yield from atom.arg.atoms()
 
     def jets(self, dep: Optional[str] = None) -> set:
         return {
@@ -288,7 +288,7 @@ class DiffExpr:
                 if atom in chosen and exp < 0:
                     raise CollectError(f"{atom} occurs with negative exponent")
                 if isinstance(atom, Log):
-                    inside = set(atom.arg.atoms(recursive=True))
+                    inside = set(atom.arg.atoms())
                     if inside & chosen:
                         raise CollectError(
                             "selected atom occurs inside a ln argument"

@@ -36,6 +36,7 @@ from typing import Optional, Union
 
 from .atoms import Atom, CoeffFn, IndepVar, Jet, Param, UnknownFn
 from .calculus import Equation, PointSymmetry
+from .conslaw import ConservedVector
 from .errors import (
     DeclarationError,
     NsaError,
@@ -82,32 +83,13 @@ class Declarations:
 
 
 @dataclass(frozen=True)
-class EquationStmt:
-    equation: Equation
-
-
-@dataclass(frozen=True)
 class SubstitutionStmt:
+    """``phi = expr;``, kept as written: phi is checked where it is used."""
+
     phi: DiffExpr
 
 
-@dataclass(frozen=True)
-class SymmetryStmt:
-    symmetry: PointSymmetry
-
-
-@dataclass(frozen=True)
-class ConservedStmt:
-    c0: DiffExpr
-    c1: DiffExpr
-
-
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: DiffExpr
-
-
-Statement = Union[EquationStmt, SubstitutionStmt, SymmetryStmt, ConservedStmt, ExprStmt]
+Statement = Union[Equation, SubstitutionStmt, PointSymmetry, ConservedVector, DiffExpr]
 
 
 @dataclass
@@ -117,7 +99,7 @@ class SourceDocument:
 
     @property
     def equations(self) -> list:
-        return [s.equation for s in self.statements if isinstance(s, EquationStmt)]
+        return [s for s in self.statements if isinstance(s, Equation)]
 
     @property
     def substitutions(self) -> list:
@@ -125,7 +107,11 @@ class SourceDocument:
 
     @property
     def symmetries(self) -> list:
-        return [s.symmetry for s in self.statements if isinstance(s, SymmetryStmt)]
+        return [s for s in self.statements if isinstance(s, PointSymmetry)]
+
+    @property
+    def conserved(self) -> list:
+        return [s for s in self.statements if isinstance(s, ConservedVector)]
 
     def symmetry(self, name: str) -> PointSymmetry:
         for sym in self.symmetries:
@@ -455,15 +441,15 @@ class _Parser:
                 )
             self.expect(";")
             try:
-                return EquationStmt(Equation(expr))
+                return Equation(expr)
             except (OrderCapError, UnsupportedInputError):
                 raise
             except NsaError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         self.expect(";")
-        return ExprStmt(expr)
+        return expr
 
-    def parse_symmetry_stmt(self) -> SymmetryStmt:
+    def parse_symmetry_stmt(self) -> PointSymmetry:
         tok = self.next()
         name = ""
         if self.peek().kind == "IDENT":
@@ -472,17 +458,16 @@ class _Parser:
         comps = self.parse_component_list(("tau", "xi", "eta"))
         self.expect("}")
         try:
-            sym = PointSymmetry(comps["tau"], comps["xi"], comps["eta"], name=name)
+            return PointSymmetry(comps["tau"], comps["xi"], comps["eta"], name=name)
         except NsaError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
-        return SymmetryStmt(sym)
 
-    def parse_conserved_stmt(self) -> ConservedStmt:
+    def parse_conserved_stmt(self) -> ConservedVector:
         self.next()
         self.expect("{")
         comps = self.parse_component_list(("c0", "c1"))
         self.expect("}")
-        return ConservedStmt(comps["c0"], comps["c1"])
+        return ConservedVector(comps["c0"], comps["c1"])
 
     def parse_component_list(self, keys: tuple) -> dict:
         comps: dict = {}
@@ -559,14 +544,6 @@ def parse_symmetry(text: str, decls: Optional[Declarations] = None) -> PointSymm
         raise ParseError(str(exc)) from exc
 
 
-def print_expression(e: DiffExpr) -> str:
-    return str(e)
-
-
-def print_equation(eq: Equation) -> str:
-    return f"{eq.lhs} = 0"
-
-
 def print_declarations(decls: Declarations) -> list:
     lines = []
     for name in decls.params:
@@ -584,19 +561,13 @@ def print_document(doc: SourceDocument) -> str:
     if lines:
         lines.append("")
     for stmt in doc.statements:
-        if isinstance(stmt, EquationStmt):
-            lines.append(f"{print_equation(stmt.equation)};")
-        elif isinstance(stmt, SubstitutionStmt):
+        if isinstance(stmt, SubstitutionStmt):
             lines.append(f"phi = {stmt.phi};")
-        elif isinstance(stmt, SymmetryStmt):
-            sym = stmt.symmetry
-            label = f" {sym.name}" if sym.name else ""
-            lines.append(
-                f"symmetry{label} {{ tau = {sym.tau}; xi = {sym.xi}; "
-                f"eta = {sym.eta}; }}"
-            )
-        elif isinstance(stmt, ConservedStmt):
+        elif isinstance(stmt, PointSymmetry):
+            label = f" {stmt.name}" if stmt.name else ""
+            lines.append(f"symmetry{label} {{ {stmt}; }}")
+        elif isinstance(stmt, ConservedVector):
             lines.append(f"conserved {{ c0 = {stmt.c0}; c1 = {stmt.c1}; }}")
         else:
-            lines.append(f"{stmt.expr};")
+            lines.append(f"{stmt};")
     return "\n".join(lines) + "\n"

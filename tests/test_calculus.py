@@ -11,7 +11,6 @@ from nsakit import (
     Equation,
     PointSymmetry,
     characteristic,
-    equal,
     euler,
     ln,
     parse_document,

@@ -1,0 +1,56 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import nsakit
+
+PACKAGE = Path(nsakit.__file__).parent
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Bound name -> line of every import outside ``__future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.AST) -> set:
+    """Names read in code, including those inside string annotations."""
+    annotations = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def test_modules_use_every_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _used(tree)
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in _imported(tree).items()
+            if name not in used
+        ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
