@@ -50,7 +50,6 @@ from .adjoint import (
 from .conslaw import (
     ConservedVector,
     Provenance,
-    UnverifiedSubstitutionWarning,
     density_normalize,
     ibragimov_vector,
     is_trivial,
@@ -97,9 +96,8 @@ __all__ = [
     "Classification", "NsaReport", "Substitution", "adjoint_equation",
     "adjoint_system", "classify_substitution", "determining_system",
     "determining_system_detailed", "formal_lagrangian", "nsa_check",
-    "ConservedVector", "Provenance", "UnverifiedSubstitutionWarning",
-    "density_normalize", "ibragimov_vector", "is_trivial", "localize",
-    "verify_divergence",
+    "ConservedVector", "Provenance", "density_normalize",
+    "ibragimov_vector", "is_trivial", "localize", "verify_divergence",
     "CollectError", "DeclarationError", "EquationFormError",
     "ExpressionError", "NsaError", "OrderCapError", "ParseError",
     "SubstitutionError", "UnsupportedInputError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .adjoint import (
@@ -24,7 +23,6 @@ from .atoms import UnknownFn
 from .calculus import Equation, PointSymmetry, prolonged_action
 from .catalog import catalog_entries, verify_entry
 from .conslaw import (
-    UnverifiedSubstitutionWarning,
     density_normalize,
     ibragimov_vector,
     localize,
@@ -131,10 +129,8 @@ def _cmd_conslaw(args) -> int:
     sym = _symmetry(doc, args.symmetry)
     sub = _substitution(doc, args.phi)
     raw = ibragimov_vector(eq, sym)
-    with warnings.catch_warnings():
-        # a failing substitution shows up as a nonzero divergence below
-        warnings.simplefilter("ignore", UnverifiedSubstitutionWarning)
-        vec = localize(raw, sub, allow_unverified=True)
+    # a failing substitution shows up as a nonzero divergence below
+    vec = localize(raw, sub)
     if args.normalize:
         vec = density_normalize(vec, eq)
     residual = verify_divergence(vec, (eq,))

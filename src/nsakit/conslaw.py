@@ -8,21 +8,21 @@ vector
     C^x = xi*L + sum_{k<n} D_x^k(W) * sum_{k<m<=n} (-1)^(m-k-1) D_x^(m-k-1) dL/du_mx,
 
 with characteristic W = eta - tau*u_t - xi*u_x.  The raw components retain
-v and vanish in divergence against the pair (F, F*); substituting a
-verified v = phi(x, t, u) localizes them to the original equation.  A
-density normalization step moves total x-derivatives from C^t into the
-flux, which is how recognizable densities (and trivial laws) emerge.
+v and vanish in divergence against the pair (F, F*).  localize only
+substitutes v = phi(x, t, u), and verify_divergence certifies the result:
+it is conserved on F alone when phi passes nsa_check.  A density
+normalization step moves total x-derivatives from C^t into the flux,
+which is how recognizable densities (and trivial laws) emerge.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .atoms import Jet, Log
-from .adjoint import Substitution, formal_lagrangian, nsa_check
+from .adjoint import Substitution, formal_lagrangian
 from .calculus import (
     Equation,
     PointSymmetry,
@@ -37,15 +37,8 @@ from .errors import UnsupportedInputError
 from .expr import DiffExpr, _factors_key, jet, ln
 
 
-class UnverifiedSubstitutionWarning(UserWarning):
-    """Raised when localizing with a substitution that failed nsa_check."""
-
-
 @dataclass(frozen=True)
 class Provenance:
-    equation: Optional[Equation] = None
-    symmetry: Optional[PointSymmetry] = None
-    substitution: Optional[Substitution] = None
     transfer: DiffExpr = DiffExpr.zero()
     sign: int = 1
 
@@ -83,36 +76,19 @@ def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
                 yield dw(0, k) * bracket
 
     c1 = DiffExpr.sum(flux_pieces())
-    return ConservedVector(c0, c1, Provenance(equation=eq, symmetry=sym))
+    return ConservedVector(c0, c1)
 
 
-def localize(
-    cv: ConservedVector, sub: Substitution, allow_unverified: bool = False
-) -> ConservedVector:
+def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:
     """Substitute v = phi into both components.
 
-    The substitution is required to pass nsa_check against the vector's
-    equation; ``allow_unverified`` downgrades a failure to a warning.
+    The result is conserved on F when phi passes nsa_check;
+    verify_divergence decides in every case.
     """
-    eq = cv.provenance.equation
-    if eq is not None:
-        report = nsa_check(eq, sub)
-        if not report.holds:
-            if not allow_unverified:
-                raise UnsupportedInputError(
-                    "substitution fails the self-adjointness identity; "
-                    "pass allow_unverified to force"
-                )
-            warnings.warn(
-                "localizing with a substitution that fails the "
-                "self-adjointness identity",
-                UnverifiedSubstitutionWarning,
-                stacklevel=2,
-            )
     return ConservedVector(
         substitute_dependent(cv.c0, "v", sub.phi),
         substitute_dependent(cv.c1, "v", sub.phi),
-        replace(cv.provenance, substitution=sub),
+        cv.provenance,
     )
 
 

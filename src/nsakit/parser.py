@@ -1,7 +1,9 @@
 """Text form of expressions, equations and documents (.nsa files).
 
 A document is a list of declarations followed by statements, each ended
-with a semicolon.  Comments run from ``#`` to end of line.
+with a semicolon and checked as it is parsed; at most one equation, one
+``phi = ...;`` and one symmetry of each name may appear.  Comments run
+from ``#`` to end of line.
 
     param p;
     func a(t);
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from .adjoint import Substitution
 from .atoms import Atom, CoeffFn, IndepVar, Jet, Param, UnknownFn
 from .calculus import Equation, PointSymmetry
 from .conslaw import ConservedVector
@@ -82,14 +85,7 @@ class Declarations:
 # --- statements and documents ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SubstitutionStmt:
-    """``phi = expr;``, kept as written: phi is checked where it is used."""
-
-    phi: DiffExpr
-
-
-Statement = Union[Equation, SubstitutionStmt, PointSymmetry, ConservedVector, DiffExpr]
+Statement = Union[Equation, Substitution, PointSymmetry, ConservedVector, DiffExpr]
 
 
 @dataclass
@@ -103,7 +99,7 @@ class SourceDocument:
 
     @property
     def substitutions(self) -> list:
-        return [s.phi for s in self.statements if isinstance(s, SubstitutionStmt)]
+        return [s.phi for s in self.statements if isinstance(s, Substitution)]
 
     @property
     def symmetries(self) -> list:
@@ -430,7 +426,10 @@ class _Parser:
             self.next()
             phi = self.parse_expr()
             self.expect(";")
-            return SubstitutionStmt(phi)
+            try:
+                return Substitution(phi)
+            except NsaError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from exc
         expr = self.parse_expr()
         if self.at_punct("="):
             self.next()
@@ -490,8 +489,16 @@ class _Parser:
     def parse_document(self) -> SourceDocument:
         self.parse_declarations()
         statements = []
+        seen = set()
         while self.peek().kind != "EOF":
-            statements.append(self.parse_statement())
+            tok = self.peek()
+            stmt = self.parse_statement()
+            key = _singleton_key(stmt)
+            if key is not None:
+                if key in seen:
+                    raise ParseError(f"duplicate {key}", tok.line, tok.col)
+                seen.add(key)
+            statements.append(stmt)
         return SourceDocument(self.decls, statements)
 
     def finish_expression(self) -> DiffExpr:
@@ -502,6 +509,17 @@ class _Parser:
                 f"unexpected trailing input {tok.value!r}", tok.line, tok.col
             )
         return e
+
+
+def _singleton_key(stmt: Statement) -> Optional[str]:
+    """What a document may state only once, or None."""
+    if isinstance(stmt, Equation):
+        return "equation"
+    if isinstance(stmt, Substitution):
+        return "phi"
+    if isinstance(stmt, PointSymmetry) and stmt.name:
+        return f"symmetry {stmt.name!r}"
+    return None
 
 
 def _check_rule_closed(rule: DiffExpr, name: str, tok: _Token) -> None:
@@ -561,9 +579,7 @@ def print_document(doc: SourceDocument) -> str:
     if lines:
         lines.append("")
     for stmt in doc.statements:
-        if isinstance(stmt, SubstitutionStmt):
-            lines.append(f"phi = {stmt.phi};")
-        elif isinstance(stmt, PointSymmetry):
+        if isinstance(stmt, PointSymmetry):
             label = f" {stmt.name}" if stmt.name else ""
             lines.append(f"symmetry{label} {{ {stmt}; }}")
         elif isinstance(stmt, ConservedVector):

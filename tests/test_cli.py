@@ -225,6 +225,12 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     assert code == 2
     assert err == "error: the document contains no equation\n"
 
+    code, out, err = run(
+        capsys, "adjoint", doc_path("u_t + u_x = 0;\nu_t + u_xx = 0;\n")
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: 2:1: duplicate equation\n"
+
     code, _, err = run(capsys, "adjoint", str(tmp_path / "missing.nsa"))
     assert code == 2
     assert err.startswith("error: cannot read ")

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and of the tests uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import nsakit
 
 PACKAGE = Path(nsakit.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -43,13 +44,13 @@ def _used(tree: ast.AST) -> set:
 
 def test_modules_use_every_import():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         used = _used(tree)
         unused += [
-            f"{path.name}:{line}: {name}"
+            f"{path.parent.name}/{path.name}:{line}: {name}"
             for name, line in _imported(tree).items()
             if name not in used
         ]

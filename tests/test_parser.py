@@ -14,6 +14,7 @@ from nsakit import (
     NsaError,
     PointSymmetry,
     ReorderedSubscriptWarning,
+    Substitution,
     parse_document,
     parse_expression,
     parse_symmetry,
@@ -21,7 +22,6 @@ from nsakit import (
 )
 from nsakit.catalog import catalog_entries, load_fixture
 from nsakit.errors import DeclarationError, ParseError
-from nsakit.parser import SubstitutionStmt
 
 
 def test_expression_round_trip():
@@ -64,7 +64,7 @@ def test_statement_kinds():
         """
     )
     kinds = [type(s) for s in doc.statements]
-    assert kinds == [Equation, SubstitutionStmt, PointSymmetry,
+    assert kinds == [Equation, Substitution, PointSymmetry,
                      ConservedVector, DiffExpr]
     assert len(doc.equations) == 1
     assert len(doc.substitutions) == 1
@@ -145,9 +145,37 @@ def test_double_negation_in_terms():
 def test_phi_statement_lookahead():
     # "phi = expr;" is a substitution; any other phi use is an expression
     doc = parse_document("u_t + u_x = 0; phi = u;")
-    assert isinstance(doc.statements[1], SubstitutionStmt)
+    assert isinstance(doc.statements[1], Substitution)
     doc = parse_document("u_t + u_x = 0; phi*u;")
     assert isinstance(doc.statements[1], DiffExpr)
+
+
+def test_invalid_phi_statement_fails_at_parse():
+    with pytest.raises(ParseError, match="^1:16: phi = 0 is excluded$"):
+        parse_document("u_t + u_x = 0; phi = 0;")
+    with pytest.raises(ParseError, match=r"^1:16: phi may depend on x, t, u only"):
+        parse_document("u_t + u_x = 0; phi = u_x;")
+
+
+def test_duplicate_statements_are_rejected():
+    with pytest.raises(ParseError, match="^1:16: duplicate equation$"):
+        parse_document("u_t + u_x = 0; u_t + u_xx = 0;")
+    with pytest.raises(ParseError, match="^2:1: duplicate phi$"):
+        parse_document("u_t + u_x = 0; phi = 1;\nphi = u;")
+    with pytest.raises(ParseError, match="^3:1: duplicate symmetry 's'$"):
+        parse_document(
+            "u_t + u_x = 0;\n"
+            "symmetry s { tau = 0; xi = 1; eta = 0; }\n"
+            "symmetry s { tau = 1; xi = 0; eta = 0; }\n"
+        )
+    # unnamed symmetries and conserved blocks may repeat
+    doc = parse_document(
+        "u_t + u_x = 0;"
+        " symmetry { tau = 0; xi = 1; eta = 0; }"
+        " symmetry { tau = 1; xi = 0; eta = 0; }"
+        " conserved { c0 = u; c1 = u; } conserved { c0 = u; c1 = u; }"
+    )
+    assert len(doc.symmetries) == 2 and len(doc.conserved) == 2
 
 
 def test_component_blocks_accept_any_order():
