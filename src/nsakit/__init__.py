@@ -81,7 +81,6 @@ from .catalog import (
     catalog_entries,
     catalog_entry,
     load_fixture,
-    verify_all,
     verify_entry,
 )
 
@@ -105,6 +104,6 @@ __all__ = [
     "parse_document", "parse_expression", "parse_symmetry",
     "print_document",
     "CatalogEntry", "catalog_entries", "catalog_entry", "load_fixture",
-    "verify_all", "verify_entry",
+    "verify_entry",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from .conslaw import (
 )
 from .errors import DeclarationError
 from .parser import (
-    Declarations,
     SourceDocument,
     parse_document,
     parse_expression,
@@ -40,21 +39,25 @@ from .parser import (
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalogued equation family or worked example."""
+    """One catalogued equation family or worked example.
+
+    Every field is a claim that :func:`verify_entry` recomputes; what an
+    entry describes, and the constraints it stands under, are in its
+    fixture's comment.
+    """
 
     id: str
-    description: str
     fixture: str
-    constraints: str
     classification: Classification
-    # (assignment text, expected classification) at special constant values
+    # ((symbol, value), ...) assignments with the classification expected there
     special_cases: tuple = ()
     # (phi text, expected residual text) for substitutions that must fail
     refuted_substitutions: tuple = ()
     # inline symmetry text that must fail the prolongation check
     refuted_symmetries: tuple = ()
-    # coefficient witness assignments used to pin refutation residuals
-    witness: str = ""
+    # (symbol, value) assignments under which each refutation residual
+    # must stay nonzero
+    witness: tuple = ()
     # divergence-verified (c0, c1) text for the fixture's symmetry and phi
     verified_vector: Optional[tuple] = None
     # whether the fixture's reported conserved block passes the divergence
@@ -65,7 +68,6 @@ class CatalogEntry:
     trivial_substitutions: tuple = ()
     # fixture of a special instance whose vector must come out trivial
     trivial_instance: str = ""
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -98,135 +100,90 @@ class EntryReport:
 _ENTRIES = (
     CatalogEntry(
         id="3-I",
-        description="third order, b = 3a, c != 0, constant substitution",
         fixture="type-3-I.nsa",
-        constraints="b = 3a, c != 0, a != 0, d = 0",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
-        witness="a = 1; c = 1",
+        witness=(("a", 1), ("c", 1)),
     ),
     CatalogEntry(
         id="3-II",
-        description="third order, b = 3a, c = 0, quadratic substitution",
         fixture="type-3-II.nsa",
-        constraints="b = 3a, c = 0, a != 0, d = 0",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="3-III",
-        description="third order, b = 0, c != 0, substitution in u alone",
         fixture="type-3-III.nsa",
-        constraints="b = 0, c != 0, a != 0, d = 0",
         classification=Classification.QUASI,
-        special_cases=(("c2 = 0", Classification.QUASI),),
+        special_cases=(((("c2", 0),), Classification.QUASI),),
         refuted_substitutions=(("u", "-6*a*u_x*u_xx"),),
-        witness="a = 1; c = 1",
+        witness=(("a", 1), ("c", 1)),
     ),
     CatalogEntry(
         id="3-IV",
-        description="third order, b = 0, c = 0, five-constant substitution",
         fixture="type-3-IV.nsa",
-        constraints="b = 0, c = 0, a != 0, d = 0",
         classification=Classification.WEAK,
-        notes=(
-            "A is the antiderivative of a entering the substitution;"
-            " the fixture declares it through deriv = a",
-        ),
     ),
     CatalogEntry(
         id="5-I",
-        description="fifth order, b unrestricted, constant substitution",
         fixture="type-5-I.nsa",
-        constraints="b != 2a and b != 3a, d != 0",
         classification=Classification.NONLINEAR,
-        notes=(
-            "a constant substitution verifies for every b, so the fixture"
-            " keeps b generic; the side condition b != 2a, 3a marks where"
-            " no wider substitution family exists",
-        ),
     ),
     CatalogEntry(
         id="5-II",
-        description="fifth order, b = 3a, c != 0, constant substitution",
         fixture="type-5-II.nsa",
-        constraints="b = 3a, a != 0, c != 0, d != 0",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
-        witness="a = 1; c = 1; d = 1",
+        witness=(("a", 1), ("c", 1), ("d", 1)),
     ),
     CatalogEntry(
         id="5-III",
-        description="fifth order, b = 3a, c = 0, quadratic substitution",
         fixture="type-5-III.nsa",
-        constraints="b = 3a, a != 0, c = 0, d != 0",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="5-IV",
-        description="fifth order, b = 2a, affine substitution in u",
         fixture="type-5-IV.nsa",
-        constraints="b = 2a, a != 0, d != 0",
         classification=Classification.QUASI,
-        special_cases=(("c1 = 1; c2 = 0", Classification.STRICT),),
+        special_cases=(((("c1", 1), ("c2", 0)), Classification.STRICT),),
     ),
     CatalogEntry(
         id="5-V",
-        description="fifth order, a = b = 0, c != 0, affine substitution in u",
         fixture="type-5-V.nsa",
-        constraints="a = 0, b = 0, c != 0, d != 0",
         classification=Classification.QUASI,
     ),
     CatalogEntry(
         id="2-R",
-        description="second order, a = d = 0, constant substitution",
         fixture="type-2-R.nsa",
-        constraints="a = 0, d = 0",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="W31",
-        description="scaling vector for u_t + u*u_xxx + t*u^2*u_x = 0",
         fixture="W31.nsa",
-        constraints="instance of 3-III with a = 1, c = t",
         classification=Classification.NONLINEAR,
         refuted_symmetries=("tau = t; xi = 0; eta = 0",),
         verified_vector=("u", "1/3*t*u^3 + u*u_xx - 1/2*u_x^2"),
         reported_ok=False,
         reported_residual="2*t*u^2*u_x + u*u_xxx + u_x*u_xx",
-        notes=(
-            "the reported flux differs from the verified one by"
-            " D_x(2/3*t*u^3 + u*u_xx), so its divergence does not vanish",
-        ),
     ),
     CatalogEntry(
         id="W32a",
-        description="x-translation vector for u_t + u*u_xxx = 0 via x/u",
         fixture="W32a.nsa",
-        constraints="instance of 3-IV with a = 1",
         classification=Classification.WEAK,
         verified_vector=("ln(u)", "u_xx"),
         reported_ok=False,
         reported_residual="2*u_xxx",
         trivial_substitutions=("1", "u^-1"),
-        notes=(
-            "the reported density has the wrong sign: ln(u), not -ln(u),"
-            " satisfies the divergence identity together with u_xx",
-        ),
     ),
     CatalogEntry(
         id="W32b",
-        description="x-translation vector for u_t + u*u_xxx = 0 via x^3/u - 6t",
         fixture="W32b.nsa",
-        constraints="instance of 3-IV with a = 1",
         classification=Classification.WEAK,
         verified_vector=("3*x^2*ln(u)", "6*u - 6*x*u_x + 3*x^2*u_xx"),
         reported_ok=True,
     ),
     CatalogEntry(
         id="W33",
-        description="scaling vector for u_t + u_xxxxx + f*u^2*u_x = 0, t*f' = p*f",
         fixture="W33.nsa",
-        constraints="instance of 5-V with c = f a power of t",
         classification=Classification.NONLINEAR,
         verified_vector=(
             "(5*p + 2)*u",
@@ -234,12 +191,6 @@ _ENTRIES = (
         ),
         reported_ok=True,
         trivial_instance="W33-trivial.nsa",
-        notes=(
-            "the flux constant on f*u^3 is 1/3, confirming the corrected"
-            " value over the misprinted 5/3",
-            "at p = -2/5 the same construction only yields a trivial"
-            " vector, checked through the companion fixture",
-        ),
     ),
 )
 
@@ -259,17 +210,6 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 def load_fixture(name: str) -> SourceDocument:
     text = resources.files("nsakit").joinpath("fixtures", name).read_text()
     return parse_document(text)
-
-
-def _parse_assignments(text: str, decls: Declarations) -> dict:
-    values = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, rhs = chunk.partition("=")
-        values[name.strip()] = parse_expression(rhs, decls)
-    return values
 
 
 def verify_entry(entry_id: str) -> EntryReport:
@@ -297,27 +237,28 @@ def verify_entry(entry_id: str) -> EntryReport:
         f"got {got.value}",
     )
 
-    for values_text, expected in entry.special_cases:
-        values = _parse_assignments(values_text, decls)
-        special = Substitution(substitute_symbols(sub.phi, values))
+    for values, expected in entry.special_cases:
+        special = Substitution(substitute_symbols(sub.phi, dict(values)))
         special_report = nsa_check(
-            Equation(substitute_symbols(eq.lhs, values), eq.dep), special
+            Equation(substitute_symbols(eq.lhs, dict(values)), eq.dep), special
         )
         special_got = classify_substitution(special)
+        label = "; ".join(f"{k} = {v}" for k, v in values)
         claim(
-            f"at {values_text}: classification is {expected.value}",
+            f"at {label}: classification is {expected.value}",
             special_report.holds and special_got == expected,
             f"got {special_got.value}",
         )
 
-    witness = _parse_assignments(entry.witness, decls) if entry.witness else {}
     for phi_text, residual_text in entry.refuted_substitutions:
         bad = Substitution(parse_expression(phi_text, decls))
         bad_report = nsa_check(eq, bad)
         expected_residual = parse_expression(residual_text, decls)
         matches = (not bad_report.holds) and bad_report.residual == expected_residual
-        if matches and witness:
-            matches = not substitute_symbols(bad_report.residual, witness).is_zero
+        if matches:
+            matches = not substitute_symbols(
+                bad_report.residual, dict(entry.witness)
+            ).is_zero
         claim(
             f"substitution {phi_text} refuted",
             matches,
@@ -401,6 +342,3 @@ def verify_entry(entry_id: str) -> EntryReport:
 
     return EntryReport(entry.id, tuple(claims))
 
-
-def verify_all() -> list:
-    return [verify_entry(entry.id) for entry in _ENTRIES]

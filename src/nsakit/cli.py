@@ -28,7 +28,7 @@ from .conslaw import (
     localize,
     verify_divergence,
 )
-from .errors import NsaError, OrderCapError, ParseError, UnsupportedInputError
+from .errors import NsaError, ParseError, UnsupportedInputError
 from .expr import DiffExpr
 from .parser import (
     SourceDocument,
@@ -37,8 +37,6 @@ from .parser import (
     parse_symmetry,
     print_document,
 )
-
-_UNSUPPORTED_ERRORS = (OrderCapError, UnsupportedInputError)
 
 
 def _load(path: str) -> SourceDocument:
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UNSUPPORTED_ERRORS as exc:
+    except UnsupportedInputError as exc:
         return _report_error(args, str(exc), 3)
     except NsaError as exc:
         return _report_error(args, str(exc), 2)

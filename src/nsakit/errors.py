@@ -4,15 +4,26 @@ from __future__ import annotations
 
 
 class NsaError(Exception):
-    """Base class for every error raised by nsakit."""
+    """Base class for every error raised by nsakit.
 
+    An error located in source text carries its ``line`` and ``column``
+    (both 0 when it has none) and prints them as an ``L:C: `` prefix.
+    """
 
-class OrderCapError(NsaError):
-    """A derivative application would exceed the configured jet order cap."""
+    def __init__(self, message: str, line: int = 0, column: int = 0):
+        self.line = line
+        self.column = column
+        if line:
+            message = f"{line}:{column}: {message}"
+        super().__init__(message)
 
 
 class UnsupportedInputError(NsaError):
     """Input is well formed but outside the supported class of problems."""
+
+
+class OrderCapError(UnsupportedInputError):
+    """A derivative application would exceed the configured jet order cap."""
 
 
 class ExpressionError(NsaError):
@@ -25,13 +36,6 @@ class CollectError(NsaError):
 
 class ParseError(NsaError):
     """Syntax or declaration error in .nsa source text."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        self.line = line
-        self.column = column
-        if line:
-            message = f"{line}:{column}: {message}"
-        super().__init__(message)
 
 
 class DeclarationError(ParseError):

@@ -43,7 +43,6 @@ from .conslaw import ConservedVector
 from .errors import (
     DeclarationError,
     NsaError,
-    OrderCapError,
     ParseError,
     UnsupportedInputError,
 )
@@ -393,10 +392,8 @@ class _Parser:
                         _check_rule_closed(rule, name, tok)
                         self.decls.funcs[name] = CoeffFn(name, rule=rule)
                 self.expect(";")
-            except DeclarationError as exc:
-                if exc.line:
-                    raise
-                raise DeclarationError(str(exc), tok.line, tok.col) from exc
+            except NsaError as exc:
+                raise _located(exc, tok)
 
     def _decl_name(self) -> str:
         tok = self.next()
@@ -426,10 +423,7 @@ class _Parser:
             self.next()
             phi = self.parse_expr()
             self.expect(";")
-            try:
-                return Substitution(phi)
-            except NsaError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
+            return Substitution(phi)
         expr = self.parse_expr()
         if self.at_punct("="):
             self.next()
@@ -439,12 +433,7 @@ class _Parser:
                     "equations must have the form expr = 0", rhs_tok.line, rhs_tok.col
                 )
             self.expect(";")
-            try:
-                return Equation(expr)
-            except (OrderCapError, UnsupportedInputError):
-                raise
-            except NsaError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
+            return Equation(expr)
         self.expect(";")
         return expr
 
@@ -492,7 +481,10 @@ class _Parser:
         seen = set()
         while self.peek().kind != "EOF":
             tok = self.peek()
-            stmt = self.parse_statement()
+            try:
+                stmt = self.parse_statement()
+            except NsaError as exc:
+                raise _located(exc, tok)
             key = _singleton_key(stmt)
             if key is not None:
                 if key in seen:
@@ -509,6 +501,18 @@ class _Parser:
                 f"unexpected trailing input {tok.value!r}", tok.line, tok.col
             )
         return e
+
+
+def _located(exc: NsaError, tok: _Token) -> NsaError:
+    """``exc`` placed at ``tok`` unless it already has a position.
+
+    Unsupported input keeps its class, so it still exits with 3; any error
+    that is not a ParseError already becomes one.
+    """
+    if exc.line:
+        return exc
+    keep = isinstance(exc, (UnsupportedInputError, ParseError))
+    return (type(exc) if keep else ParseError)(str(exc), tok.line, tok.col)
 
 
 def _singleton_key(stmt: Statement) -> Optional[str]:

@@ -1,17 +1,21 @@
 """Catalog integrity: entries, fixtures, claim verification."""
 
+from pathlib import Path
+
 import pytest
 
+import nsakit
 from nsakit import (
     Classification,
     catalog_entries,
     catalog_entry,
     parse_expression,
     substitute_symbols,
-    verify_all,
     verify_entry,
 )
 from nsakit.errors import DeclarationError
+
+FIXTURES = Path(nsakit.__file__).parent / "fixtures"
 
 EXPECTED_IDS = (
     "3-I", "3-II", "3-III", "3-IV",
@@ -36,7 +40,12 @@ def test_every_entry_names_a_fixture_and_classification():
     for entry in catalog_entries():
         assert entry.fixture.endswith(".nsa")
         assert isinstance(entry.classification, Classification)
-        assert entry.description
+
+
+def test_every_fixture_belongs_to_one_entry():
+    named = [e.fixture for e in catalog_entries()]
+    named += [e.trivial_instance for e in catalog_entries() if e.trivial_instance]
+    assert sorted(named) == sorted(path.name for path in FIXTURES.iterdir())
 
 
 def test_verify_single_entry():
@@ -48,9 +57,8 @@ def test_verify_single_entry():
 
 
 def test_verify_all_entries():
-    reports = verify_all()
-    assert len(reports) == len(EXPECTED_IDS)
-    for report in reports:
+    for entry in catalog_entries():
+        report = verify_entry(entry.id)
         assert report.ok, str(report)
 
 

@@ -267,15 +267,19 @@ def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
 
 
 def test_exit_3_unsupported_inputs(capsys, doc_path):
-    code, _, err = run(
-        capsys, "adjoint", doc_path("u_t + u_xxxxxxxxxxxxx = 0;\n")
-    )
-    assert code == 3
-    assert err == "error: jet of u exceeds the order cap 12\n"
-
-    code, _, err = run(capsys, "adjoint", doc_path("u_t + u_tx = 0;\n"))
-    assert code == 3
-    assert err == "error: derivative u_tx is outside the supported evolution class\n"
+    """Unsupported input exits 3; every error in a document is located."""
+    cap = "jet of u exceeds the order cap 12"
+    invertible = "only single-monomial expressions are invertible"
+    for text, want_code, message in (
+        ("u_t + u_xxxxxxxxxxxxx = 0;\n", 3, cap),
+        ("u_t + u_tx = 0;\n", 3,
+         "derivative u_tx is outside the supported evolution class"),
+        ("func f(t) deriv = u_xxxxxxxxxxxxx;\nu_t + f*u_x = 0;\n", 3, cap),
+        ("u_t + (u+1)^-1 = 0;\n", 2, invertible),
+        ("func f(t) deriv = (t+1)^-1;\nu_t + f*u_x = 0;\n", 2, invertible),
+    ):
+        code, out, err = run(capsys, "adjoint", doc_path(text))
+        assert (code, out, err) == (want_code, "", f"error: 1:1: {message}\n"), text
 
 
 def test_conslaw_beyond_fifth_order(capsys, doc_path):

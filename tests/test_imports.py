@@ -1,4 +1,5 @@
-"""Every module of the package and of the tests uses each name it imports."""
+"""Every module of the package and of the tests uses each name it imports,
+and every dataclass field of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,31 @@ def test_modules_use_every_import():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_dataclass_fields_are_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{stmt.lineno}: {cls.name}.{stmt.target.id}"
+        for name, tree in sorted(trees.items())
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+    assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
