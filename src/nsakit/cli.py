@@ -41,9 +41,11 @@ from .parser import (
 
 def _load(path: str) -> SourceDocument:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_document(text)
 
 

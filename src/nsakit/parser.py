@@ -23,18 +23,22 @@ Expression grammar (multiplication is always explicit):
     base   := integer ["/" integer] | identifier ["(" "t" ")"]
             | "ln" "(" expr ")" | "(" expr ")"
 
-Jets are written ``u_txx`` (t's before x's); ``u_xt`` is accepted and
-canonicalized with a warning.  ``phi`` and its partials (``phi_xu``) are
-built in; every other identifier must be declared.  Printing produces the
-canonical form, and parsing it back yields the identical value.
+An identifier starts with a letter and continues with letters, digits and
+``_``, then optional primes (``a''``); a number is a run of decimal digits.
+At most 100 ``(`` or ``ln(`` may be open at once.  Jets are written
+``u_txx`` (t's before x's); ``u_xt`` is accepted and canonicalized with a
+warning.  ``phi`` and its partials (``phi_xu``) are built in; every other
+identifier must be declared.  Printing produces the canonical form, and
+parsing it back yields the identical value.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .adjoint import Substitution
 from .atoms import Atom, CoeffFn, IndepVar, Jet, Param, UnknownFn
@@ -117,76 +121,64 @@ class SourceDocument:
 
 # --- lexer ------------------------------------------------------------
 
-_PUNCT = set("+-*^/(){}=;")
+# One alternative per token kind.  \d is exactly the Unicode decimal digits
+# int() accepts; \w also admits "²" and "½", so _lex checks isalpha().
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<BLANK>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<IDENT>[^\W\d_]\w*'*)|(?P<NUMBER>\d+)|(?P<PUNCT>[-+*^/(){}=;])"
+    r"|(?P<OTHER>.)"
+)
+
+# Most "(" and "ln(" open at once; the parser and printer recurse per level.
+_MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT, NUMBER, PUNCT, EOF
     value: str
     line: int
     col: int
 
+    def error(self, message: str, cls: type = ParseError) -> NsaError:
+        return cls(message, self.line, self.col)
+
 
 def _lex(text: str) -> list:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind not in ("BLANK", "COMMENT"):
+            tok = _Token(kind, m.group(), line, m.start() - line_start + 1)
+            if kind == "OTHER" or (kind == "IDENT" and not tok.value[0].isalpha()):
+                raise tok.error(f"unexpected character {tok.value[0]!r}")
+            tokens.append(tok)
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
 # --- parser -----------------------------------------------------------
 
+# head -> (atom class, subscript alphabet, foreign-letter message, warning
+# noun); the class takes the head and one count per alphabet letter.
+_SUBSCRIPTED = {
+    "u": (Jet, "tx", "jet subscript of u may contain only t and x", "jet"),
+    "v": (Jet, "tx", "jet subscript of v may contain only t and x", "jet"),
+    "phi": (UnknownFn, "txu", "phi subscript may contain only t, x and u",
+            "partial"),
+}
 
-def _canonical_subscript(sub: str, alphabet: str) -> str:
-    return "".join(sorted(sub, key=alphabet.index))
+_BUILTINS = {"t": IndepVar("t"), "x": IndepVar("x"), "u": Jet("u"),
+             "v": Jet("v"), "phi": UnknownFn("phi")}
 
 
 class _Parser:
     def __init__(self, text: str, decls: Optional[Declarations] = None):
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
         self.decls = decls if decls is not None else Declarations()
 
     # token plumbing
@@ -203,123 +195,82 @@ class _Parser:
     def expect(self, value: str) -> _Token:
         tok = self.next()
         if tok.value != value:
-            raise ParseError(
-                f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                tok.line,
-                tok.col,
+            raise tok.error(
+                f"expected {value!r}, found {tok.value or 'end of input'!r}"
             )
         return tok
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is ``value``; no two kinds share a value."""
+        if self.peek().value != value:
+            return False
+        self.next()
+        return True
 
     # identifiers
 
     def resolve(self, tok: _Token) -> Atom:
         name = tok.value
-        primes = len(name) - len(name.rstrip("'"))
-        stem = name[: len(name) - primes] if primes else name
+        stem = name.rstrip("'")
+        primes = len(name) - len(stem)
         if "_" in stem:
             head, _, sub = stem.partition("_")
             if primes or "_" in sub or not sub:
-                raise ParseError(f"malformed identifier {name!r}", tok.line, tok.col)
-            if head in ("u", "v"):
-                if set(sub) - set("tx"):
-                    raise ParseError(
-                        f"jet subscript of {head} may contain only t and x",
-                        tok.line,
-                        tok.col,
-                    )
-                canon = _canonical_subscript(sub, "tx")
-                if canon != sub:
-                    warnings.warn(
-                        f"jet subscript {name} reordered to {head}_{canon}",
-                        ReorderedSubscriptWarning,
-                    )
-                return Jet(head, sub.count("t"), sub.count("x"))
-            if head == "phi":
-                if set(sub) - set("txu"):
-                    raise ParseError(
-                        "phi subscript may contain only t, x and u",
-                        tok.line,
-                        tok.col,
-                    )
-                canon = _canonical_subscript(sub, "txu")
-                if canon != sub:
-                    warnings.warn(
-                        f"partial subscript {name} reordered to phi_{canon}",
-                        ReorderedSubscriptWarning,
-                    )
-                return UnknownFn("phi", sub.count("t"), sub.count("x"), sub.count("u"))
-            raise ParseError(
-                f"subscripts are defined only for u, v and phi, not {head!r}",
-                tok.line,
-                tok.col,
-            )
+                raise tok.error(f"malformed identifier {name!r}")
+            if head not in _SUBSCRIPTED:
+                raise tok.error(
+                    f"subscripts are defined only for u, v and phi, not {head!r}"
+                )
+            cls, alphabet, foreign, noun = _SUBSCRIPTED[head]
+            if set(sub) - set(alphabet):
+                raise tok.error(foreign)
+            canon = "".join(sorted(sub, key=alphabet.index))
+            if canon != sub:
+                warnings.warn(
+                    f"{noun} subscript {name} reordered to {head}_{canon}",
+                    ReorderedSubscriptWarning,
+                )
+            return cls(head, *map(sub.count, alphabet))
         if primes:
             fn = self.decls.funcs.get(stem)
             if fn is None:
-                raise DeclarationError(
-                    f"{stem!r} is not a declared function", tok.line, tok.col
+                raise tok.error(
+                    f"{stem!r} is not a declared function", DeclarationError
                 )
             if fn.rule is not None:
-                raise ParseError(
-                    f"{stem!r} has a declared derivative; primes do not apply",
-                    tok.line,
-                    tok.col,
+                raise tok.error(
+                    f"{stem!r} has a declared derivative; primes do not apply"
                 )
             return CoeffFn(stem, primes)
-        if stem == "t":
-            return IndepVar("t")
-        if stem == "x":
-            return IndepVar("x")
-        if stem in ("u", "v"):
-            return Jet(stem)
-        if stem == "phi":
-            return UnknownFn("phi")
-        if stem in self.decls.params:
-            return self.decls.params[stem]
-        if stem in self.decls.funcs:
-            return self.decls.funcs[stem]
-        raise DeclarationError(f"undeclared identifier {stem!r}", tok.line, tok.col)
+        for table in (_BUILTINS, self.decls.params, self.decls.funcs):
+            if stem in table:
+                return table[stem]
+        raise tok.error(f"undeclared identifier {stem!r}", DeclarationError)
 
     # expressions
 
     def parse_expr(self) -> DiffExpr:
         terms = [self.parse_term()]
-        while self.peek().kind == "PUNCT" and self.peek().value in "+-":
+        while self.peek().value in ("+", "-"):
             op = self.next().value
             rhs = self.parse_term()
             terms.append(rhs if op == "+" else -rhs)
         return DiffExpr.sum(terms)
 
     def parse_term(self) -> DiffExpr:
-        negate = False
-        if self.at_punct("-"):
-            self.next()
-            negate = True
+        negate = self.accept("-")
         e = self.parse_factor()
-        while self.at_punct("*"):
-            self.next()
+        while self.accept("*"):
             e = e * self.parse_factor()
         return -e if negate else e
 
     def parse_factor(self) -> DiffExpr:
         e = self.parse_base()
-        if self.at_punct("^"):
-            self.next()
-            sign = 1
-            if self.at_punct("-"):
-                self.next()
-                sign = -1
+        if self.accept("^"):
+            sign = -1 if self.accept("-") else 1
             tok = self.next()
             if tok.kind != "NUMBER":
-                raise ParseError("exponent must be an integer", tok.line, tok.col)
+                raise tok.error("exponent must be an integer")
             e = e ** (sign * int(tok.value))
         return e
 
@@ -327,66 +278,62 @@ class _Parser:
         tok = self.next()
         if tok.kind == "NUMBER":
             num = int(tok.value)
-            if self.at_punct("/"):
-                self.next()
+            if self.accept("/"):
                 den_tok = self.next()
                 if den_tok.kind != "NUMBER" or int(den_tok.value) == 0:
-                    raise ParseError(
-                        "rational literal needs a nonzero integer denominator",
-                        den_tok.line,
-                        den_tok.col,
+                    raise den_tok.error(
+                        "rational literal needs a nonzero integer denominator"
                     )
                 return DiffExpr.number(Fraction(num, int(den_tok.value)))
             return DiffExpr.number(num)
-        if tok.kind == "PUNCT" and tok.value == "(":
-            e = self.parse_expr()
-            self.expect(")")
-            return e
+        if tok.value == "(":
+            return self.parse_nested(tok)
+        if tok.value == "ln":
+            arg = self.parse_nested(self.expect("("))
+            try:
+                return ln(arg)
+            except NsaError as exc:
+                raise tok.error(str(exc)) from exc
         if tok.kind == "IDENT":
-            if tok.value == "ln":
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                try:
-                    return ln(arg)
-                except NsaError as exc:
-                    raise ParseError(str(exc), tok.line, tok.col) from exc
             atom = self.resolve(tok)
-            if self.at_punct("("):
+            if self.accept("("):
                 if not isinstance(atom, CoeffFn):
-                    raise ParseError(
-                        "only declared functions of t may be applied",
-                        tok.line,
-                        tok.col,
-                    )
-                self.next()
+                    raise tok.error("only declared functions of t may be applied")
                 self.expect("t")
                 self.expect(")")
             return DiffExpr.from_atom(atom)
-        raise ParseError(
-            f"expected an expression, found {tok.value or 'end of input'!r}",
-            tok.line,
-            tok.col,
+        raise tok.error(
+            f"expected an expression, found {tok.value or 'end of input'!r}"
         )
+
+    def parse_nested(self, opening: _Token) -> DiffExpr:
+        """The expression after the ``(`` token ``opening``, through its ``)``."""
+        if self.depth == _MAX_NESTING:
+            raise opening.error(
+                f"expression nested deeper than {_MAX_NESTING} levels"
+            )
+        self.depth += 1
+        e = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return e
 
     # declarations
 
     def parse_declarations(self) -> None:
-        while self.peek().kind == "IDENT" and self.peek().value in ("param", "func"):
+        while self.peek().value in ("param", "func"):
             tok = self.next()
             try:
+                name = self._decl_name()
                 if tok.value == "param":
-                    name = self._decl_name()
                     self.decls.declare_param(name)
                 else:
-                    name = self._decl_name()
                     self.expect("(")
                     self.expect("t")
                     self.expect(")")
                     # the bare function may appear in its own rule
                     self.decls.declare_func(name, None)
-                    if self.peek().kind == "IDENT" and self.peek().value == "deriv":
-                        self.next()
+                    if self.accept("deriv"):
                         self.expect("=")
                         rule = self.parse_expr()
                         _check_rule_closed(rule, name, tok)
@@ -398,40 +345,30 @@ class _Parser:
     def _decl_name(self) -> str:
         tok = self.next()
         if tok.kind != "IDENT" or "'" in tok.value or "_" in tok.value:
-            raise ParseError("expected a plain identifier", tok.line, tok.col)
+            raise tok.error("expected a plain identifier")
         return tok.value
 
     # statements
 
     def parse_statement(self) -> Statement:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in ("param", "func"):
-            raise ParseError(
-                "declarations must precede all statements", tok.line, tok.col
-            )
-        if tok.kind == "IDENT" and tok.value == "symmetry":
+        if tok.value in ("param", "func"):
+            raise tok.error("declarations must precede all statements")
+        if tok.value == "symmetry":
             return self.parse_symmetry_stmt()
-        if tok.kind == "IDENT" and tok.value == "conserved":
+        if tok.value == "conserved":
             return self.parse_conserved_stmt()
-        if (
-            tok.kind == "IDENT"
-            and tok.value == "phi"
-            and self.peek(1).kind == "PUNCT"
-            and self.peek(1).value == "="
-        ):
+        if tok.value == "phi" and self.peek(1).value == "=":
             self.next()
             self.next()
             phi = self.parse_expr()
             self.expect(";")
             return Substitution(phi)
         expr = self.parse_expr()
-        if self.at_punct("="):
-            self.next()
+        if self.accept("="):
             rhs_tok = self.next()
-            if rhs_tok.kind != "NUMBER" or rhs_tok.value != "0":
-                raise ParseError(
-                    "equations must have the form expr = 0", rhs_tok.line, rhs_tok.col
-                )
+            if rhs_tok.value != "0":
+                raise rhs_tok.error("equations must have the form expr = 0")
             self.expect(";")
             return Equation(expr)
         self.expect(";")
@@ -448,7 +385,7 @@ class _Parser:
         try:
             return PointSymmetry(comps["tau"], comps["xi"], comps["eta"], name=name)
         except NsaError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise tok.error(str(exc)) from exc
 
     def parse_conserved_stmt(self) -> ConservedVector:
         self.next()
@@ -459,20 +396,18 @@ class _Parser:
 
     def parse_component_list(self, keys: tuple) -> dict:
         comps: dict = {}
-        while not self.at_punct("}"):
+        while self.peek().value != "}":
             tok = self.next()
-            if tok.kind != "IDENT" or tok.value not in keys:
-                raise ParseError(
-                    f"expected one of {', '.join(keys)}", tok.line, tok.col
-                )
+            if tok.value not in keys:
+                raise tok.error(f"expected one of {', '.join(keys)}")
             if tok.value in comps:
-                raise ParseError(f"duplicate component {tok.value!r}", tok.line, tok.col)
+                raise tok.error(f"duplicate component {tok.value!r}")
             self.expect("=")
             comps[tok.value] = self.parse_expr()
             self.expect(";")
         missing = [k for k in keys if k not in comps]
         if missing:
-            raise self.fail(f"missing component {missing[0]!r}")
+            raise self.peek().error(f"missing component {missing[0]!r}")
         return comps
 
     def parse_document(self) -> SourceDocument:
@@ -488,7 +423,7 @@ class _Parser:
             key = _singleton_key(stmt)
             if key is not None:
                 if key in seen:
-                    raise ParseError(f"duplicate {key}", tok.line, tok.col)
+                    raise tok.error(f"duplicate {key}")
                 seen.add(key)
             statements.append(stmt)
         return SourceDocument(self.decls, statements)
@@ -497,9 +432,7 @@ class _Parser:
         e = self.parse_expr()
         tok = self.peek()
         if tok.kind != "EOF":
-            raise ParseError(
-                f"unexpected trailing input {tok.value!r}", tok.line, tok.col
-            )
+            raise tok.error(f"unexpected trailing input {tok.value!r}")
         return e
 
 
@@ -512,7 +445,7 @@ def _located(exc: NsaError, tok: _Token) -> NsaError:
     if exc.line:
         return exc
     keep = isinstance(exc, (UnsupportedInputError, ParseError))
-    return (type(exc) if keep else ParseError)(str(exc), tok.line, tok.col)
+    return tok.error(str(exc), type(exc) if keep else ParseError)
 
 
 def _singleton_key(stmt: Statement) -> Optional[str]:
@@ -533,11 +466,9 @@ def _check_rule_closed(rule: DiffExpr, name: str, tok: _Token) -> None:
             or (isinstance(atom, IndepVar) and atom.name == "t")
         )
         if not ok:
-            raise ParseError(
+            raise tok.error(
                 f"derivative rule for {name!r} must be a function of t"
-                f" (found {atom})",
-                tok.line,
-                tok.col,
+                f" (found {atom})"
             )
 
 

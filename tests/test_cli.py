@@ -207,6 +207,20 @@ def test_fmt_is_idempotent(capsys, fixture_path, tmp_path):
     assert out2 == out
 
 
+def test_fmt_prints_the_deepest_nesting_accepted(capsys, doc_path):
+    """100 open parentheses or ln( parse, and fmt prints them."""
+    code, out, err = run(
+        capsys, "fmt", doc_path("u_t + " + "(" * 100 + "u" + ")" * 100 + "*u_x = 0;")
+    )
+    assert (code, out, err) == (0, "u*u_x + u_t = 0;\n", "")
+
+    nested = "ln(2*" * 100 + "u" + ")" * 100
+    code, out, err = run(capsys, "fmt", doc_path(f"u_t + {nested}*u_x = 0;"))
+    assert (code, out, err) == (0, f"u_x*{nested} + u_t = 0;\n", "")
+    code, again, _ = run(capsys, "fmt", doc_path(out, "again.nsa"))
+    assert (code, again) == (0, out)
+
+
 def test_runs_are_byte_deterministic(capsys, fixture_path):
     path = fixture_path("W33.nsa")
     first = run(capsys, "conslaw", path, "--symmetry", "scaling",
@@ -234,6 +248,23 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     code, _, err = run(capsys, "adjoint", str(tmp_path / "missing.nsa"))
     assert code == 2
     assert err.startswith("error: cannot read ")
+
+    code, out, err = run(capsys, "adjoint", doc_path("u_t + ²*u_x = 0;\n"))
+    assert (code, out, err) == (2, "", "error: 1:7: unexpected character '²'\n")
+
+    deep = "u_t + " + "(" * 1200 + "u" + ")" * 1200 + " = 0;\n"
+    code, out, err = run(capsys, "adjoint", doc_path(deep))
+    assert (code, out) == (2, "")
+    assert err == "error: 1:107: expression nested deeper than 100 levels\n"
+
+    undecodable = tmp_path / "latin1.nsa"
+    undecodable.write_bytes(b"u_t + u_x = 0; # \xff\n")
+    code, out, err = run(capsys, "adjoint", str(undecodable))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {undecodable}: 'utf-8' codec can't decode byte"
+        " 0xff in position 17: invalid start byte\n"
+    )
 
     code, _, err = run(
         capsys, "check-nsa", doc_path("u_t + u*u_x = 0;"), "--phi", "0"

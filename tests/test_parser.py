@@ -222,6 +222,12 @@ def test_lexer_edges():
         parse_expression("u u")
     with pytest.raises(ParseError):
         parse_document("u_t = 0")  # missing semicolon
+    # end of input sits at the end of the text, after a trailing comment
+    with pytest.raises(ParseError) as info:
+        parse_document("u_t + u_x = 0 # note")
+    assert str(info.value) == "1:21: expected ';', found 'end of input'"
+    # numbers are Unicode decimal digits, as int() reads them
+    assert parse_expression("٣") == parse_expression("3")
 
 
 def test_equation_statement_validation():
@@ -237,7 +243,8 @@ def test_fuzz_parser_totality():
     """Random token soup either parses or raises a package error."""
     rng = random.Random(99)
     vocab = ["u", "u_t", "u_x", "phi", "ln", "(", ")", "+", "-", "*", "^",
-             "/", "=", ";", "{", "}", "2", "1/2", "a", "'", "_", "#"]
+             "/", "=", ";", "{", "}", "2", "1/2", "a", "'", "_", "#",
+             "²", "٣", "é", "\x0b"]
     for _ in range(300):
         text = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12)))
         try:
@@ -256,3 +263,8 @@ def test_fuzz_parser_totality():
                 parse_document(text)
         except NsaError:
             pass
+    for opening in ("(", "ln(", "ln(2*"):
+        for depth in (101, 1200):
+            text = "u_t + " + opening * depth + "u" + ")" * depth + " = 0;"
+            with pytest.raises(ParseError, match="nested deeper than 100"):
+                parse_document(text)
