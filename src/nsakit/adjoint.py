@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .atoms import Jet, UnknownFn
-from .calculus import (
-    Equation,
-    euler,
-    partial_coord,
-    substitute_dependent,
-)
+from .calculus import Equation, partial_coord, substitute_dependent
 from .errors import SubstitutionError, UnsupportedInputError
 from .expr import DiffExpr, Monomial, as_expr, equal, jet, primitive_normal, unknown
 
@@ -33,8 +28,12 @@ def formal_lagrangian(eq: Equation) -> DiffExpr:
 
 
 def adjoint_equation(eq: Equation) -> DiffExpr:
-    """Left side F* of the adjoint equation F* = 0."""
-    return euler(formal_lagrangian(eq), "u")
+    """Left side F* of the adjoint equation F* = 0.
+
+    F* is computed on first use and stored on ``eq``, so the checks and
+    systems built on one equation share a single variational derivative.
+    """
+    return eq.adjoint
 
 
 def adjoint_system(eq: Equation) -> tuple[Equation, Equation]:

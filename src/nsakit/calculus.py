@@ -11,7 +11,7 @@ prolonged action of a point symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 from typing import Callable, Iterator, Optional, Union
 
@@ -22,7 +22,7 @@ from .errors import (
     SubstitutionError,
     UnsupportedInputError,
 )
-from .expr import DiffExpr, as_expr, jet
+from .expr import DiffExpr, _accumulate_product, as_expr, jet
 
 _ONE = DiffExpr.one()
 
@@ -32,27 +32,23 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
 
     ``atom_rule`` returns the derivative of a single atom (None meaning
     zero).  The power rule handles integer exponents of either sign, and
-    ln(g) differentiates to D(g) * g^-1 under the same rule.
+    ln(g) differentiates to D(g) * g^-1 under the same rule.  Every
+    monomial exp*coeff*rest*D(atom) goes into one dict, normalized once.
     """
-
-    def pieces() -> Iterator[DiffExpr]:
-        for factors, coeff in e._terms:
-            for i, (atom, exp) in enumerate(factors):
-                if isinstance(atom, Log):
-                    darg = _leibniz(atom.arg, atom_rule)
-                    da = None if darg.is_zero else darg * atom.arg**-1
-                else:
-                    da = atom_rule(atom)
-                if da is None or da.is_zero:
-                    continue
-                rest = list(factors)
-                if exp == 1:
-                    del rest[i]
-                else:
-                    rest[i] = (atom, exp - 1)
-                yield DiffExpr._raw(((tuple(rest), coeff * exp),)) * da
-
-    return DiffExpr.sum(pieces())
+    data: dict = {}
+    for factors, coeff in e._terms:
+        for i, (atom, exp) in enumerate(factors):
+            if isinstance(atom, Log):
+                darg = _leibniz(atom.arg, atom_rule)
+                da = None if darg.is_zero else darg * atom.arg**-1
+            else:
+                da = atom_rule(atom)
+            if da is None or da.is_zero:
+                continue
+            lowered = ((atom, exp - 1),) if exp != 1 else ()
+            rest = factors[:i] + lowered + factors[i + 1:]
+            _accumulate_product(data, rest, coeff * exp, da._terms)
+    return DiffExpr._from_dict(data)
 
 
 def _coeff_dt(atom: CoeffFn) -> DiffExpr:
@@ -241,6 +237,18 @@ class Equation:
             seen_plain = True
         if not seen_plain:
             raise EquationFormError(f"equation must contain {dt}")
+
+    @cached_property
+    def adjoint(self) -> DiffExpr:
+        """F* = delta(v*lhs)/delta u of a u-equation, computed once per
+        Equation value.
+
+        Stored outside the dataclass fields, so equality and hashing are
+        unaffected.
+        """
+        if self.dep != "u":
+            raise UnsupportedInputError("formal Lagrangian is defined for u-equations")
+        return euler(jet("v") * self.lhs, "u")
 
     @property
     def solved_rhs(self) -> DiffExpr:

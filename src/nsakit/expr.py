@@ -15,13 +15,14 @@ symbolic.  Non-integer exponents and inverses of genuine sums are errors.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .atoms import Atom, IndepVar, Jet, Log, Param, UnknownFn
-from .errors import CollectError, ExpressionError
+from .errors import CollectError, ExpressionError, UnsupportedInputError
 
 Factors = tuple  # tuple[tuple[Atom, int], ...] sorted by atom sort key
 Scalar = Union[int, Fraction, "DiffExpr"]
@@ -30,12 +31,34 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def int_digit_limit() -> int:
+    """Python's int/str conversion limit in digits, or 0 where there is none:
+    switched off, or an interpreter before 3.10.7, which has no limit."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter else 0
+
+
 def _factors_key(factors: Factors) -> tuple:
     return tuple((atom.sort_key(), exp) for atom, exp in factors)
 
 
 def _sorted_factors(items: Iterable[tuple[Atom, int]]) -> Factors:
     return tuple(sorted(items, key=lambda it: it[0].sort_key()))
+
+
+def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
+    """Add the monomial c1*f1 times each (factors, coeff) of ``terms`` into
+    ``data``, a dict from factors to coefficient awaiting ``_from_dict``."""
+    base = dict(f1)
+    for f2, c2 in terms:
+        if f2:
+            merged = dict(base)
+            for atom, exp in f2:
+                merged[atom] = merged.get(atom, 0) + exp
+            key = _sorted_factors(it for it in merged.items() if it[1])
+        else:
+            key = f1
+        data[key] = data.get(key, 0) + c1 * c2
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,23 +72,32 @@ class Monomial:
         return DiffExpr._raw(((self.factors, self.coeff),))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return str(self.coeff)
-        parts = []
-        for atom, exp in self.factors:
-            parts.append(str(atom) if exp == 1 else f"{atom}^{exp}")
-        body = "*".join(parts)
-        if self.coeff == 1:
-            return body
-        if self.coeff == -1:
-            return "-" + body
-        return f"{self.coeff}*{body}"
+        # every number of an expression becomes text here; past Python's
+        # int/str conversion limit str() raises ValueError
+        try:
+            if not self.factors:
+                return str(self.coeff)
+            parts = []
+            for atom, exp in self.factors:
+                parts.append(str(atom) if exp == 1 else f"{atom}^{exp}")
+            body = "*".join(parts)
+            if self.coeff == 1:
+                return body
+            if self.coeff == -1:
+                return "-" + body
+            return f"{self.coeff}*{body}"
+        except ValueError:
+            raise UnsupportedInputError(
+                f"result has a number of more than {int_digit_limit()} digits"
+            ) from None
 
 
 class DiffExpr:
     """Normalized sum of monomials; supports +, -, *, /, ** and unary -."""
 
-    __slots__ = ("_terms",)
+    # _key memoizes sort_key(): the value is immutable, and a ruled CoeffFn
+    # or a Log is compared through the key of its rule or argument
+    __slots__ = ("_terms", "_key")
 
     def __init__(self):
         raise ExpressionError("use the factory classmethods or arithmetic")
@@ -75,7 +107,8 @@ class DiffExpr:
     @classmethod
     def _raw(cls, terms: tuple) -> "DiffExpr":
         e = object.__new__(cls)
-        object.__setattr__(e, "_terms", terms)
+        e._terms = terms
+        e._key = None
         return e
 
     @classmethod
@@ -154,9 +187,12 @@ class DiffExpr:
         return max((j.order() for j in self.jets(dep)), default=0)
 
     def sort_key(self) -> tuple:
-        return tuple(
-            (_factors_key(f), (c.numerator, c.denominator)) for f, c in self._terms
-        )
+        if self._key is None:
+            self._key = tuple(
+                (_factors_key(f), (c.numerator, c.denominator))
+                for f, c in self._terms
+            )
+        return self._key
 
     # arithmetic -------------------------------------------------------
 
@@ -199,16 +235,7 @@ class DiffExpr:
             return _ZERO_EXPR
         data: dict = {}
         for f1, c1 in self._terms:
-            base = dict(f1)
-            for f2, c2 in o._terms:
-                if f2:
-                    merged = dict(base)
-                    for atom, exp in f2:
-                        merged[atom] = merged.get(atom, 0) + exp
-                    key = _sorted_factors(it for it in merged.items() if it[1])
-                else:
-                    key = f1
-                data[key] = data.get(key, 0) + c1 * c2
+            _accumulate_product(data, f1, c1, o._terms)
         return DiffExpr._from_dict(data)
 
     __rmul__ = __mul__

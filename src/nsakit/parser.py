@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     UnsupportedInputError,
 )
-from .expr import DiffExpr, ln
+from .expr import DiffExpr, int_digit_limit, ln
 
 RESERVED = {"t", "x", "u", "v", "ln", "phi", "param", "func", "deriv",
             "symmetry", "conserved"}
@@ -146,6 +146,7 @@ class _Token(NamedTuple):
 def _lex(text: str) -> list:
     tokens = []
     line, line_start = 1, 0
+    limit = int_digit_limit()  # 0: no limit
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "NEWLINE":
@@ -154,6 +155,8 @@ def _lex(text: str) -> list:
             tok = _Token(kind, m.group(), line, m.start() - line_start + 1)
             if kind == "OTHER" or (kind == "IDENT" and not tok.value[0].isalpha()):
                 raise tok.error(f"unexpected character {tok.value[0]!r}")
+            if kind == "NUMBER" and limit and len(tok.value) > limit:
+                raise tok.error(f"integer literal has more than {limit} digits")
             tokens.append(tok)
     tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
@@ -266,12 +269,13 @@ class _Parser:
 
     def parse_factor(self) -> DiffExpr:
         e = self.parse_base()
-        if self.accept("^"):
+        if self.peek().value == "^":
+            caret = self.next()
             sign = -1 if self.accept("-") else 1
             tok = self.next()
             if tok.kind != "NUMBER":
                 raise tok.error("exponent must be an integer")
-            e = e ** (sign * int(tok.value))
+            e = _power(e, sign * int(tok.value), caret)
         return e
 
     def parse_base(self) -> DiffExpr:
@@ -434,6 +438,30 @@ class _Parser:
         if tok.kind != "EOF":
             raise tok.error(f"unexpected trailing input {tok.value!r}")
         return e
+
+
+def _power(e: DiffExpr, n: int, op: _Token) -> DiffExpr:
+    """``e^n``, refused at ``op`` if a coefficient would have more digits
+    than Python's int/str conversion limit lets it print."""
+    limit = int_digit_limit()  # 0: no limit
+    if not limit:
+        return e**n
+    # a one-term base is refused before the power is taken: k of b bits
+    # gives |k^n| >= 2^((b-1)|n|) >= 10^limit once 3(b-1)|n| > 10*limit
+    first = e.terms[0].coeff if len(e.terms) == 1 else Fraction(0)
+    early = any(3 * (k.bit_length() - 1) * abs(n) > 10 * limit
+                for k in (first.numerator, first.denominator))
+    if not early:
+        e = e**n
+    # below 3*limit bits, |k| < 8**limit < 10**limit
+    if early or any(k.bit_length() > 3 * limit and abs(k) >= 10**limit
+                    for m in e.terms
+                    for k in (m.coeff.numerator, m.coeff.denominator)):
+        raise op.error(
+            f"'^' gives a coefficient of more than {limit} digits",
+            UnsupportedInputError,
+        )
+    return e
 
 
 def _located(exc: NsaError, tok: _Token) -> NsaError:

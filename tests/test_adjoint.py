@@ -1,5 +1,7 @@
 """Adjoint construction, substitution checks, determining systems."""
 
+import dataclasses
+
 import pytest
 
 from nsakit import (
@@ -19,8 +21,9 @@ from nsakit import (
     parse_expression,
     primitive_normal,
 )
+from nsakit import calculus
 from nsakit.atoms import IndepVar, Jet, UnknownFn
-from nsakit.errors import SubstitutionError
+from nsakit.errors import SubstitutionError, UnsupportedInputError
 
 T = DiffExpr.from_atom(IndepVar("t"))
 X = DiffExpr.from_atom(IndepVar("x"))
@@ -85,6 +88,34 @@ def test_adjoint_system_pairs_equations():
     # the v-equation is the sign-normalized adjoint
     fstar = adjoint_equation(eq)
     assert backward.lhs == -fstar
+    # F* is defined for u-equations only
+    with pytest.raises(UnsupportedInputError, match="u-equations"):
+        adjoint_equation(backward)
+
+
+def test_adjoint_is_computed_once_per_equation(monkeypatch):
+    eq = parse_document("param p; u_t + u*u_xxx + p*u_x^2 = 0;").equations[0]
+    euler = calculus.euler
+    calls = []
+
+    def counting(e, dep="u"):
+        calls.append(dep)
+        return euler(e, dep)
+
+    monkeypatch.setattr(calculus, "euler", counting)
+    fstar = adjoint_equation(eq)
+    nsa_check(eq, Substitution(U))
+    nsa_check(eq, Substitution(X))
+    determining_system(eq)
+    assert adjoint_system(eq)[1].lhs == -fstar
+    assert calls == ["u"]
+    assert adjoint_equation(eq) is fstar
+    # the stored F* is no part of the equation's identity
+    fresh = Equation(eq.lhs)
+    assert eq == fresh
+    assert hash(eq) == hash(fresh)
+    assert repr(eq) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(eq)] == ["lhs", "dep"]
 
 
 def test_substitution_validation():

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from genexpr import A_FN, random_expr
+from genexpr import (
+    A_FN,
+    CALCULUS_ATOMS,
+    DIFFERENTIABLE_LOG_ARGS,
+    random_expr,
+)
 
 from nsakit import (
     DiffExpr,
@@ -21,7 +26,8 @@ from nsakit import (
     substitute_symbols,
     total_derivative,
 )
-from nsakit.atoms import CoeffFn, IndepVar, Jet, Param
+from nsakit import calculus
+from nsakit.atoms import CoeffFn, IndepVar, Jet, Log, Param
 from nsakit.calculus import partial_coord, partial_jet
 from nsakit.errors import (
     EquationFormError,
@@ -104,6 +110,61 @@ def test_total_derivative_normalizes_a_bounded_amount(monkeypatch):
     monkeypatch.setattr(DiffExpr, "_from_dict", classmethod(counting))
     total_derivative(e, "x")
     assert sum(sizes) <= 4 * len(e.terms)
+    # every piece of every order goes into one dict per order
+    for direction in ("t", "x"):
+        for order in (1, 2, 3):
+            sizes.clear()
+            total_derivative(e, direction, order)
+            assert len(sizes) == order, (direction, order)
+
+
+def _per_piece_leibniz(e, atom_rule):
+    """Reference derivation: one DiffExpr per monomial piece, merged by sum."""
+
+    def pieces():
+        for factors, coeff in e._terms:
+            for i, (atom, exp) in enumerate(factors):
+                if isinstance(atom, Log):
+                    darg = _per_piece_leibniz(atom.arg, atom_rule)
+                    da = None if darg.is_zero else darg * atom.arg**-1
+                else:
+                    da = atom_rule(atom)
+                if da is None or da.is_zero:
+                    continue
+                rest = list(factors)
+                if exp == 1:
+                    del rest[i]
+                else:
+                    rest[i] = (atom, exp - 1)
+                yield DiffExpr._raw(((tuple(rest), coeff * exp),)) * da
+
+    return DiffExpr.sum(pieces())
+
+
+def test_derivations_match_the_per_piece_formula(monkeypatch):
+    rng = random.Random(17)
+    cases = [
+        random_expr(rng, atoms=CALCULUS_ATOMS, log_args=DIFFERENTIABLE_LOG_ARGS)
+        for _ in range(100)
+    ]
+    assert any(isinstance(a, Log) for e in cases for a in e.atoms())
+    assert any(m.factors and min(x for _, x in m.factors) < 0
+               for e in cases for m in e.terms)
+
+    def derivatives(e):
+        return [
+            total_derivative(e, "t"),
+            total_derivative(e, "x", 2),
+            *(partial_jet(e, Jet("u", 0, k)) for k in range(3)),
+            *(partial_coord(e, c) for c in ("t", "x", "u")),
+        ]
+
+    got = [derivatives(e) for e in cases]
+    monkeypatch.setattr(calculus, "_leibniz", _per_piece_leibniz)
+    for e, values in zip(cases, got):
+        want = derivatives(e)
+        assert values == want, str(e)
+        assert [str(v) for v in values] == [str(w) for w in want]
 
 
 def test_total_derivative_of_logarithms():

@@ -252,6 +252,11 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     code, out, err = run(capsys, "adjoint", doc_path("u_t + ²*u_x = 0;\n"))
     assert (code, out, err) == (2, "", "error: 1:7: unexpected character '²'\n")
 
+    long_literal = "u_t + " + "1" * 5000 + "*u_x = 0;\n"
+    code, out, err = run(capsys, "adjoint", doc_path(long_literal))
+    assert (code, out) == (2, "")
+    assert err == "error: 1:7: integer literal has more than 4300 digits\n"
+
     deep = "u_t + " + "(" * 1200 + "u" + ")" * 1200 + " = 0;\n"
     code, out, err = run(capsys, "adjoint", doc_path(deep))
     assert (code, out) == (2, "")
@@ -302,15 +307,28 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
     cap = "jet of u exceeds the order cap 12"
     invertible = "only single-monomial expressions are invertible"
     for text, want_code, message in (
-        ("u_t + u_xxxxxxxxxxxxx = 0;\n", 3, cap),
+        ("u_t + u_xxxxxxxxxxxxx = 0;\n", 3, f"1:1: {cap}"),
         ("u_t + u_tx = 0;\n", 3,
-         "derivative u_tx is outside the supported evolution class"),
-        ("func f(t) deriv = u_xxxxxxxxxxxxx;\nu_t + f*u_x = 0;\n", 3, cap),
-        ("u_t + (u+1)^-1 = 0;\n", 2, invertible),
-        ("func f(t) deriv = (t+1)^-1;\nu_t + f*u_x = 0;\n", 2, invertible),
+         "1:1: derivative u_tx is outside the supported evolution class"),
+        ("func f(t) deriv = u_xxxxxxxxxxxxx;\nu_t + f*u_x = 0;\n", 3,
+         f"1:1: {cap}"),
+        ("u_t + (u+1)^-1 = 0;\n", 2, f"1:1: {invertible}"),
+        ("func f(t) deriv = (t+1)^-1;\nu_t + f*u_x = 0;\n", 2,
+         f"1:1: {invertible}"),
+        ("u_t + 2^20000*u_x = 0;\n", 3,
+         "1:8: '^' gives a coefficient of more than 4300 digits"),
+        ("u_t + 7^30000000*u_x = 0;\n", 3,
+         "1:8: '^' gives a coefficient of more than 4300 digits"),
+        # a number computed by the engine is refused where it is printed
+        ("u_t + " + "9" * 4300 + "*u_x^2 = 0;\n", 3,
+         "result has a number of more than 4300 digits"),
     ):
         code, out, err = run(capsys, "adjoint", doc_path(text))
-        assert (code, out, err) == (want_code, "", f"error: 1:1: {message}\n"), text
+        assert (code, out, err) == (want_code, "", f"error: {message}\n"), text
+    long_sum = "u_t + " + "9" * 4300 + "*u_x + u_x = 0;\n"
+    code, out, err = run(capsys, "fmt", doc_path(long_sum))
+    assert (code, out) == (3, "")
+    assert err == "error: result has a number of more than 4300 digits\n"
 
 
 def test_conslaw_beyond_fifth_order(capsys, doc_path):

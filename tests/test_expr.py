@@ -6,7 +6,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from genexpr import random_expr
+from genexpr import F_POW, random_expr
 
 from nsakit import DiffExpr, as_expr, equal, ln, primitive_normal
 from nsakit.atoms import ORDER_CAP, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
@@ -183,3 +183,16 @@ def test_unknown_function_and_log_sort_keys_are_stable():
     assert Log(U).sort_key() < Log(U + 1).sort_key() or Log(
         U + 1
     ).sort_key() < Log(U).sort_key()
+
+
+def test_sort_key_is_built_once_per_expression():
+    # a ruled function compares through its rule's key, built once
+    f = DiffExpr.from_atom(F_POW)
+    assert f.sort_key() is f.sort_key()
+    assert F_POW.sort_key()[3] is F_POW.rule.sort_key()
+    assert Log(U).sort_key()[1] is Log(U).sort_key()[1]
+    # equal expressions built apart still have equal keys
+    g = DiffExpr.sum([f * U, -U, U]) * U**-1
+    assert g == f
+    assert g.sort_key() == f.sort_key()
+    assert hash(g) == hash(f)

@@ -2,6 +2,7 @@
 
 import random
 import string
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from nsakit import (
     print_document,
 )
 from nsakit.catalog import load_fixture
-from nsakit.errors import DeclarationError, ParseError
+from nsakit.errors import DeclarationError, ParseError, UnsupportedInputError
 
 
 def test_expression_round_trip():
@@ -228,6 +229,46 @@ def test_lexer_edges():
     assert str(info.value) == "1:21: expected ';', found 'end of input'"
     # numbers are Unicode decimal digits, as int() reads them
     assert parse_expression("٣") == parse_expression("3")
+
+
+def test_integers_stay_within_the_printable_digit_limit():
+    # the largest printable literal and power round-trip; one digit more fails
+    top = "9" * 4300
+    assert str(parse_expression(top)) == top
+    assert str(parse_expression("2^14000")) == str(2**14000)
+    with pytest.raises(ParseError) as info:
+        parse_expression("u + " + top + "9")
+    assert str(info.value) == "1:5: integer literal has more than 4300 digits"
+    # a power is refused at its '^', before it is taken when the base is
+    # one term, so 7^30000000 costs no time
+    with pytest.raises(UnsupportedInputError, match="1:4: '\\^' gives"):
+        parse_expression("1/3^9100")
+    with pytest.raises(UnsupportedInputError, match="1:2: '\\^' gives"):
+        parse_expression("7^30000000")
+    with pytest.raises(UnsupportedInputError, match="1:2: '\\^' gives"):
+        parse_expression("2^-20000")
+    # any other long number is refused where it is printed
+    product = parse_expression("2^5000*2^5000*2^5000")
+    assert product == DiffExpr.number(2**15000)
+    with pytest.raises(UnsupportedInputError) as info:
+        str(product)
+    assert str(info.value) == "result has a number of more than 4300 digits"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_integers_without_a_digit_limit(monkeypatch):
+    # an interpreter before 3.10.7 has no limit and no getter for it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        e = parse_expression("9" * 5000 + "*u + 2^20000")
+        assert str(e) == f"{2**20000} + {'9' * 5000}*u"
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(limit)
 
 
 def test_equation_statement_validation():
