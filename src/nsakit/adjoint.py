@@ -14,10 +14,14 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .atoms import Jet, UnknownFn
-from .calculus import Equation, partial_coord, substitute_dependent
+from .calculus import (
+    Equation,
+    _require_point_function,
+    partial_coord,
+    substitute_dependent,
+)
 from .errors import SubstitutionError, UnsupportedInputError
-from .expr import DiffExpr, Monomial, as_expr, equal, jet, primitive_normal, unknown
+from .expr import DiffExpr, equal, jet, primitive_normal, unknown
 
 
 def formal_lagrangian(eq: Equation) -> DiffExpr:
@@ -53,17 +57,9 @@ class Substitution:
     phi: DiffExpr
 
     def __post_init__(self):
-        phi = as_expr(self.phi)
-        object.__setattr__(self, "phi", phi)
-        if phi.is_zero:
+        _require_point_function(self.phi, "phi", SubstitutionError)
+        if self.phi.is_zero:
             raise SubstitutionError("phi = 0 is excluded")
-        for atom in phi.atoms():
-            if isinstance(atom, Jet) and (atom.dep != "u" or atom.order() != 0):
-                raise SubstitutionError(
-                    f"phi may depend on x, t, u only (found {atom})"
-                )
-            if isinstance(atom, UnknownFn):
-                raise SubstitutionError("phi must be a concrete expression")
 
     def __str__(self) -> str:
         return f"phi = {self.phi}"
@@ -146,13 +142,14 @@ def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     )
 
 
-def determining_system_detailed(eq: Equation) -> list[tuple[Monomial, DiffExpr]]:
+def determining_system_detailed(eq: Equation) -> list[tuple[DiffExpr, DiffExpr]]:
     """Keyed determining equations for an undetermined phi(x, t, u).
 
     Expands F*|_{v=phi} + phi_u*F and collects over every monomial in the
-    derivative jets of u (u_t included); each coefficient, scaled to
-    primitive integer form, must vanish.  The u_t coefficient cancels
-    identically, which is exactly why the multiplier is forced.
+    derivative jets of u (u_t included), each key a one-term expression;
+    each coefficient, scaled to primitive integer form, must vanish.  The
+    u_t coefficient cancels identically, which is exactly why the
+    multiplier is forced.
     """
     residual = _nsa_residual(eq, unknown("phi"))
     selected = {j for j in residual.jets("u") if j.order() >= 1}

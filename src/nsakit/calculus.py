@@ -25,6 +25,7 @@ from .errors import (
 from .expr import DiffExpr, _accumulate_product, as_expr, jet
 
 _ONE = DiffExpr.one()
+_U = Jet("u")
 
 
 def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> DiffExpr:
@@ -36,7 +37,7 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     monomial exp*coeff*rest*D(atom) goes into one dict, normalized once.
     """
     data: dict = {}
-    for factors, coeff in e._terms:
+    for factors, coeff in e.terms:
         for i, (atom, exp) in enumerate(factors):
             if isinstance(atom, Log):
                 darg = _leibniz(atom.arg, atom_rule)
@@ -47,7 +48,7 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
                 continue
             lowered = ((atom, exp - 1),) if exp != 1 else ()
             rest = factors[:i] + lowered + factors[i + 1:]
-            _accumulate_product(data, rest, coeff * exp, da._terms)
+            _accumulate_product(data, rest, coeff * exp, da.terms)
     return DiffExpr._from_dict(data)
 
 
@@ -225,7 +226,7 @@ class Equation:
             if isinstance(atom, UnknownFn):
                 raise EquationFormError("equations must not contain unknown functions")
         seen_plain = False
-        for factors, coeff in lhs._terms:
+        for factors, coeff in lhs.terms:
             if all(atom != dt for atom, _exp in factors):
                 continue
             if len(factors) != 1:
@@ -277,23 +278,23 @@ class PointSymmetry:
 
     def __post_init__(self):
         for label in _SYMMETRY_COMPONENTS:
-            value = as_expr(getattr(self, label))
-            object.__setattr__(self, label, value)
-            _require_point_function(value, f"symmetry component {label}")
+            _require_point_function(
+                getattr(self, label), f"symmetry component {label}",
+                UnsupportedInputError,
+            )
 
     def __str__(self) -> str:
         return f"tau = {self.tau}; xi = {self.xi}; eta = {self.eta}"
 
 
-def _require_point_function(e: DiffExpr, what: str) -> None:
+def _require_point_function(e: DiffExpr, what: str, error: type) -> None:
+    """Raise ``error`` about ``what`` unless ``e`` is an expression in
+    x, t, u only: no jet other than u, and no phi or partial of it."""
+    if not isinstance(e, DiffExpr):
+        raise error(f"{what} must be an expression, not {type(e).__name__}")
     for atom in e.atoms():
-        if isinstance(atom, Jet):
-            if atom.dep != "u" or atom.order() != 0:
-                raise UnsupportedInputError(
-                    f"{what} may depend on x, t, u only (found {atom})"
-                )
-        elif isinstance(atom, UnknownFn):
-            raise UnsupportedInputError(f"{what} may not contain {atom}")
+        if isinstance(atom, (Jet, UnknownFn)) and atom != _U:
+            raise error(f"{what} may depend on x, t, u only (found {atom})")
 
 
 def characteristic(sym: PointSymmetry) -> DiffExpr:
@@ -304,29 +305,27 @@ def characteristic(sym: PointSymmetry) -> DiffExpr:
 def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
     """Eliminate t-derivatives of governed dependents using the equations.
 
-    Each u_{t^m x^k} with m >= 1 is rewritten as D_x^k D_t^(m-1) of the
-    solved right side, highest t-order first, until none remain.
+    Each round rewrites every u_{t^m x^k} with m >= 1 as D_x^k D_t^(m-1) of
+    the solved right side, until none remain; a round lowers the highest
+    t-order by one.
     """
     if isinstance(eqs, Equation):
         eqs = [eqs]
-    by_dep: dict[str, Equation] = {}
+    tables: dict = {}
     for eq in eqs:
-        if eq.dep in by_dep:
+        if eq.dep in tables:
             raise UnsupportedInputError(f"two equations govern {eq.dep}")
-        by_dep[eq.dep] = eq
-    tables = {dep: derivative_table(eq.solved_rhs) for dep, eq in by_dep.items()}
+        tables[eq.dep] = derivative_table(eq.solved_rhs)
     out = as_expr(e)
     while True:
-        governed = [
-            a
-            for a in set(out.atoms())
-            if isinstance(a, Jet) and a.dep in by_dep and a.t_order >= 1
-        ]
-        if not governed:
+        mapping = {
+            j: tables[j.dep](j.t_order - 1, j.x_order)
+            for j in out.jets()
+            if j.dep in tables and j.t_order >= 1
+        }
+        if not mapping:
             return out
-        target = max(governed, key=lambda a: (a.t_order, a.sort_key()))
-        rep = tables[target.dep](target.t_order - 1, target.x_order)
-        out = out.subs_atoms({target: rep})
+        out = out.subs_atoms(mapping)
 
 
 def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:

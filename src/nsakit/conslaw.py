@@ -17,7 +17,7 @@ which is how recognizable densities (and trivial laws) emerge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -156,9 +156,11 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
 
     Finds h with C0 = A0 + D_x(h) and returns (A0, C1 + D_t(h)); the pair
     is then rescaled by -1 if needed so the leading monomial of A0 has a
-    positive coefficient.  The transfer h and the sign are recorded in the
-    provenance, so sign*C0 - A0 = D_x(transfer) holds exactly.  When no
-    term is transferable the components are returned unchanged.
+    positive coefficient.  The transfer h and the sign are folded into the
+    provenance, so against the vector first normalized sign*C0 - A0 =
+    D_x(transfer) and A1 - sign*C1 = D_t(transfer) hold exactly, also after
+    repeated normalization.  When no term is transferable the components
+    are returned unchanged.
     """
     for atom in cv.c0.atoms():
         if isinstance(atom, Jet) and atom.dep == "v":
@@ -168,7 +170,7 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
     seen = {work}
     while True:
         ordered = sorted(
-            work._terms,
+            work.terms,
             key=lambda it: (-_top_x_order(it[0]), _factors_key(it[0])),
         )
         step = None
@@ -191,10 +193,9 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
     if work.leading_coeff() < 0:
         sign = -1
         work, a1, h = -work, -a1, -h
+    transfer = sign * cv.provenance.transfer + h
     return ConservedVector(
-        work,
-        a1,
-        replace(cv.provenance, transfer=h, sign=sign * cv.provenance.sign),
+        work, a1, Provenance(transfer, sign * cv.provenance.sign)
     )
 
 

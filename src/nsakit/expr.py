@@ -16,7 +16,6 @@ symbolic.  Non-integer exponents and inverses of genuine sums are errors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -59,37 +58,6 @@ def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
         else:
             key = f1
         data[key] = data.get(key, 0) + c1 * c2
-
-
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """One term of a DiffExpr: coefficient times a power product."""
-
-    coeff: Fraction
-    factors: Factors
-
-    def as_expr(self) -> "DiffExpr":
-        return DiffExpr._raw(((self.factors, self.coeff),))
-
-    def __str__(self) -> str:
-        # every number of an expression becomes text here; past Python's
-        # int/str conversion limit str() raises ValueError
-        try:
-            if not self.factors:
-                return str(self.coeff)
-            parts = []
-            for atom, exp in self.factors:
-                parts.append(str(atom) if exp == 1 else f"{atom}^{exp}")
-            body = "*".join(parts)
-            if self.coeff == 1:
-                return body
-            if self.coeff == -1:
-                return "-" + body
-            return f"{self.coeff}*{body}"
-        except ValueError:
-            raise UnsupportedInputError(
-                f"result has a number of more than {int_digit_limit()} digits"
-            ) from None
 
 
 class DiffExpr:
@@ -154,7 +122,8 @@ class DiffExpr:
 
     @property
     def terms(self) -> tuple:
-        return tuple(Monomial(c, f) for f, c in self._terms)
+        """The stored (factors, coefficient) pairs, in canonical order."""
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
@@ -304,8 +273,9 @@ class DiffExpr:
     def collect(self, selected: Iterable[Atom]) -> list:
         """Group terms by their power products over the selected atoms.
 
-        Returns (monomial, coefficient) pairs sorted by monomial, where each
-        monomial has coefficient 1 and factors only from ``selected``.
+        Returns (key, coefficient) pairs sorted by key, where each key is a
+        one-term expression with coefficient 1 and factors only from
+        ``selected``.
         Selected atoms occurring with negative exponents or inside ln
         arguments are an error.
         """
@@ -330,7 +300,7 @@ class DiffExpr:
         for key in sorted(groups, key=_factors_key):
             coeff_expr = DiffExpr._from_dict(groups[key])
             if not coeff_expr.is_zero:
-                out.append((Monomial(_ONE, key), coeff_expr))
+                out.append((DiffExpr._raw(((key, _ONE),)), coeff_expr))
         return out
 
     # comparison and printing -------------------------------------------
@@ -349,16 +319,28 @@ class DiffExpr:
         return bool(self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
+        # every number of an expression becomes text here; past Python's
+        # int/str conversion limit str() raises ValueError
         pieces = []
-        for i, (factors, coeff) in enumerate(self._terms):
-            mono = Monomial(abs(coeff), factors)
-            if i == 0:
-                pieces.append(("-" if coeff < 0 else "") + str(mono))
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + str(mono))
-        return "".join(pieces)
+        try:
+            for factors, coeff in self._terms:
+                body = "*".join(
+                    str(atom) if exp == 1 else f"{atom}^{exp}" for atom, exp in factors
+                )
+                size = abs(coeff)
+                if not body:
+                    body = str(size)
+                elif size != 1:
+                    body = f"{size}*{body}"
+                if coeff < 0:
+                    pieces.append(" - " + body if pieces else "-" + body)
+                else:
+                    pieces.append(" + " + body if pieces else body)
+        except ValueError:
+            raise UnsupportedInputError(
+                f"result has a number of more than {int_digit_limit()} digits"
+            ) from None
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"DiffExpr({self})"

@@ -398,9 +398,12 @@ class _Parser:
         self.expect("}")
         return ConservedVector(comps["c0"], comps["c1"])
 
-    def parse_component_list(self, keys: tuple) -> dict:
+    def parse_component_list(self, keys: tuple, end: str = "}") -> dict:
+        """``key = expr;`` for each of ``keys``, up to the token ``end``;
+        ``end = ""`` stops at end of input, where the last ``;`` may be
+        left out."""
         comps: dict = {}
-        while self.peek().value != "}":
+        while self.peek().value != end:
             tok = self.next()
             if tok.value not in keys:
                 raise tok.error(f"expected one of {', '.join(keys)}")
@@ -408,7 +411,8 @@ class _Parser:
                 raise tok.error(f"duplicate component {tok.value!r}")
             self.expect("=")
             comps[tok.value] = self.parse_expr()
-            self.expect(";")
+            if end or self.peek().kind != "EOF":
+                self.expect(";")
         missing = [k for k in keys if k not in comps]
         if missing:
             raise self.peek().error(f"missing component {missing[0]!r}")
@@ -448,15 +452,15 @@ def _power(e: DiffExpr, n: int, op: _Token) -> DiffExpr:
         return e**n
     # a one-term base is refused before the power is taken: k of b bits
     # gives |k^n| >= 2^((b-1)|n|) >= 10^limit once 3(b-1)|n| > 10*limit
-    first = e.terms[0].coeff if len(e.terms) == 1 else Fraction(0)
+    first = e.terms[0][1] if len(e.terms) == 1 else Fraction(0)
     early = any(3 * (k.bit_length() - 1) * abs(n) > 10 * limit
                 for k in (first.numerator, first.denominator))
     if not early:
         e = e**n
     # below 3*limit bits, |k| < 8**limit < 10**limit
     if early or any(k.bit_length() > 3 * limit and abs(k) >= 10**limit
-                    for m in e.terms
-                    for k in (m.coeff.numerator, m.coeff.denominator)):
+                    for _, c in e.terms
+                    for k in (c.numerator, c.denominator)):
         raise op.error(
             f"'^' gives a coefficient of more than {limit} digits",
             UnsupportedInputError,
@@ -512,13 +516,9 @@ def parse_expression(text: str, decls: Optional[Declarations] = None) -> DiffExp
 
 
 def parse_symmetry(text: str, decls: Optional[Declarations] = None) -> PointSymmetry:
-    """Parse inline components 'tau = ...; xi = ...; eta = ...;'."""
-    body = text.strip()
-    if not body.endswith(";"):
-        body += ";"
-    parser = _Parser(body + "}", decls)
-    comps = parser.parse_component_list(("tau", "xi", "eta"))
-    parser.expect("}")
+    """Parse inline components 'tau = ...; xi = ...; eta = ...;' that make
+    up the whole text; the last ';' is optional."""
+    comps = _Parser(text, decls).parse_component_list(("tau", "xi", "eta"), end="")
     try:
         return PointSymmetry(comps["tau"], comps["xi"], comps["eta"])
     except NsaError as exc:

@@ -127,8 +127,14 @@ def test_substitution_validation():
         Substitution(jet(0, 1))
     with pytest.raises(SubstitutionError):
         Substitution(V)
-    with pytest.raises(SubstitutionError):
+    with pytest.raises(
+        SubstitutionError, match=r"^phi may depend on x, t, u only \(found phi_u\)$"
+    ):
         Substitution(DiffExpr.from_atom(UnknownFn("phi", 0, 0, 1)))
+    with pytest.raises(SubstitutionError, match="^phi must be an expression, not int$"):
+        Substitution(1)
+    phi = X * U**-1
+    assert Substitution(phi).phi is phi
 
 
 def test_classification_rules():
@@ -203,7 +209,7 @@ def test_determining_system_of_general_family():
     # every key is a pure x-jet monomial: the u_t coefficient cancels
     detailed = determining_system_detailed(eq)
     for key, _coeff in detailed:
-        for atom, _exp in key.factors:
+        for atom in key.atoms():
             assert atom.t_order == 0
 
     def ph(t, x, u):

@@ -15,8 +15,10 @@ from nsakit import (
     DiffExpr,
     Equation,
     PointSymmetry,
+    adjoint_system,
     characteristic,
     euler,
+    ibragimov_vector,
     ln,
     parse_document,
     parse_expression,
@@ -27,7 +29,8 @@ from nsakit import (
     total_derivative,
 )
 from nsakit import calculus
-from nsakit.atoms import CoeffFn, IndepVar, Jet, Log, Param
+from nsakit.atoms import CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
+from nsakit.catalog import load_fixture
 from nsakit.calculus import partial_coord, partial_jet
 from nsakit.errors import (
     EquationFormError,
@@ -148,8 +151,8 @@ def test_derivations_match_the_per_piece_formula(monkeypatch):
         for _ in range(100)
     ]
     assert any(isinstance(a, Log) for e in cases for a in e.atoms())
-    assert any(m.factors and min(x for _, x in m.factors) < 0
-               for e in cases for m in e.terms)
+    assert any(factors and min(x for _, x in factors) < 0
+               for e in cases for factors, _coeff in e.terms)
 
     def derivatives(e):
         return [
@@ -248,8 +251,20 @@ def test_equation_validation():
 def test_point_symmetry_validation():
     sym = PointSymmetry(T, DiffExpr.zero(), -U, name="scaling")
     assert characteristic(sym) == -U - T * U_T
+    assert sym.tau is T
     with pytest.raises(UnsupportedInputError):
         PointSymmetry(U_X, DiffExpr.zero(), U)
+    with pytest.raises(
+        UnsupportedInputError,
+        match="^symmetry component tau must be an expression, not int$",
+    ):
+        PointSymmetry(0, DiffExpr.one(), DiffExpr.zero())
+    phi_u = DiffExpr.from_atom(UnknownFn("phi", 0, 0, 1))
+    with pytest.raises(
+        UnsupportedInputError,
+        match=r"^symmetry component eta may depend on x, t, u only \(found phi_u\)$",
+    ):
+        PointSymmetry(DiffExpr.zero(), DiffExpr.one(), phi_u)
 
 
 def test_reduce_mod_single_equation():
@@ -259,6 +274,26 @@ def test_reduce_mod_single_equation():
     assert reduce_mod(U_TX, [eq]) == -(U_X**2) - U * U_XX
     assert reduce_mod(U + X, [eq]) == U + X
     assert reduce_mod(0, [eq]).is_zero
+
+
+def test_reduce_mod_substitutes_every_governed_jet_per_round(monkeypatch):
+    """The raw divergence of W31 carries u_t and v_t only; both go in one
+    substitution."""
+    doc = load_fixture("W31.nsa")
+    eq = doc.equations[0]
+    system = adjoint_system(eq)
+    raw = ibragimov_vector(eq, doc.symmetry("scaling"))
+    divergence = total_derivative(raw.c0, "t") + total_derivative(raw.c1, "x")
+    calls = []
+    subs_atoms = DiffExpr.subs_atoms
+
+    def counted(self, mapping):
+        calls.append(sorted(map(str, mapping)))
+        return subs_atoms(self, mapping)
+
+    monkeypatch.setattr(DiffExpr, "subs_atoms", counted)
+    assert reduce_mod(divergence, system).is_zero
+    assert calls == [["u_t", "v_t"]]
 
 
 def test_reduce_mod_system():

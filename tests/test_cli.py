@@ -290,6 +290,16 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     )
     assert code == 2
 
+    code, out, err = run(
+        capsys,
+        "check-symmetry",
+        doc_path("u_t + u*u_x = 0;"),
+        "--symmetry",
+        "tau = 0; xi = 1; eta = 0; } anything",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: 1:27: expected one of tau, xi, eta\n"
+
 
 def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
     code, out, err = run(

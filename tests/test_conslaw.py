@@ -208,6 +208,19 @@ def test_is_trivial():
     assert not is_trivial(real, scaling_equation())
 
 
+def test_repeated_normalization_keeps_the_provenance_identities():
+    eq = Equation(DiffExpr.from_atom(Jet("u", 1, 0)) + U * U_XXX)
+    original = ConservedVector(-(U**2) + U * U_XX + U_X**2, T * U**3)
+    once = density_normalize(original, eq)
+    assert (once.provenance.transfer, once.provenance.sign) == (-U * U_X, -1)
+    twice = density_normalize(once, eq)
+    assert (twice.c0, twice.c1) == (once.c0, once.c1)
+    for cv in (once, twice):
+        transfer, sign = cv.provenance.transfer, cv.provenance.sign
+        assert sign * original.c0 - cv.c0 == total_derivative(transfer, "x")
+        assert cv.c1 - sign * original.c1 == total_derivative(transfer, "t")
+
+
 def test_flux_order_follows_the_equation():
     sixth = Equation(
         DiffExpr.from_atom(Jet("u", 1, 0)) + DiffExpr.from_atom(Jet("u", 0, 6))

@@ -137,16 +137,30 @@ def test_sum_normalizes_once(monkeypatch):
     assert total == expected
 
 
+def test_terms_are_the_stored_pairs():
+    e = 2 * U_X - 1
+    assert e.terms is e.terms
+    assert e.terms == (
+        ((), Fraction(-1)),
+        (((Jet("u", 0, 1), 1),), Fraction(2)),
+    )
+    assert DiffExpr.zero().terms == ()
+
+
 def test_collect_groups_by_selected_jets():
     u_x, u_xx = Jet("u", 0, 1), Jet("u", 0, 2)
     e = A * U_X**2 + T * U_X**2 + P * U_XX + U
     pairs = e.collect({u_x, u_xx})
+    for key, _coeff in pairs:
+        assert isinstance(key, DiffExpr)
+        [(_factors, one)] = key.terms
+        assert one == 1
     table = {str(key): coeff for key, coeff in pairs}
     assert table["u_x^2"] == A + T
     assert table["u_xx"] == P
     assert table["1"] == U
     # reconstruction is exact
-    assert DiffExpr.sum(key.as_expr() * coeff for key, coeff in pairs) == e
+    assert DiffExpr.sum(key * coeff for key, coeff in pairs) == e
 
 
 def test_collect_rejects_negative_selected_powers():

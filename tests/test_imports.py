@@ -1,5 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-and every dataclass field of the package is read somewhere in it."""
+every dataclass field of the package is read somewhere in it, and no
+module of the package rewrites a frozen value."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,17 @@ def test_dataclass_fields_are_read():
         and stmt.target.id not in read
     ]
     assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
+
+
+def test_no_module_calls_object_setattr():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+    assert not calls, "object.__setattr__ calls:\n" + "\n".join(calls)

@@ -207,6 +207,8 @@ def test_parse_symmetry_inline():
     assert str(sym.eta) == "-u"
     with pytest.raises(ParseError):
         parse_symmetry("tau = t; xi = 0")
+    with pytest.raises(ParseError, match="^1:27: expected one of tau, xi, eta$"):
+        parse_symmetry("tau = 0; xi = 1; eta = 0; } anything")
 
 
 def test_lexer_edges():
