@@ -24,7 +24,7 @@ from .calculus import Equation, prolonged_action, substitute_symbols
 from .conslaw import (
     density_normalize,
     ibragimov_vector,
-    is_trivial,
+    is_trivial_normalized,
     localize,
     verify_divergence,
 )
@@ -324,7 +324,7 @@ def verify_entry(entry_id: str) -> EntryReport:
             vec = density_normalize(localize(raw, other), eq)
             claim(
                 f"substitution {phi_text} yields a trivial vector",
-                is_trivial(vec, eq),
+                is_trivial_normalized(vec, eq),
                 f"(C0, C1) = ({vec.c0}, {vec.c1})",
             )
 
@@ -336,7 +336,7 @@ def verify_entry(entry_id: str) -> EntryReport:
         inst_vec = density_normalize(localize(inst_raw, inst_sub), inst_eq)
         claim(
             f"instance {entry.trivial_instance} yields a trivial vector",
-            is_trivial(inst_vec, inst_eq),
+            is_trivial_normalized(inst_vec, inst_eq),
             f"(C0, C1) = ({inst_vec.c0}, {inst_vec.c1})",
         )
 

@@ -208,7 +208,11 @@ def verify_divergence(cv: ConservedVector, eqs: Union[Equation, list]) -> DiffEx
 def is_trivial(cv: ConservedVector, eq: Equation) -> bool:
     """True when the normalized density vanishes and the flux is x-constant
     on solutions."""
-    normalized = density_normalize(cv, eq)
+    return is_trivial_normalized(density_normalize(cv, eq), eq)
+
+
+def is_trivial_normalized(normalized: ConservedVector, eq: Equation) -> bool:
+    """is_trivial for a vector that density_normalize already returned."""
     if not reduce_mod(normalized.c0, eq).is_zero:
         return False
     flux_div = total_derivative(normalized.c1, "x")

@@ -2,8 +2,10 @@
 
 A DiffExpr is a finite sum of monomials.  Each monomial is an exact
 rational coefficient times a power product of atoms with nonzero integer
-exponents (negative exponents allowed).  The zero expression is the empty
-sum.  Expressions are normalized on construction and immutable afterwards:
+exponents (negative exponents allowed).  A coefficient has one canonical
+form: an ``int`` when its value is integral, otherwise a ``Fraction``
+whose denominator exceeds 1.  The zero expression is the empty sum.
+Expressions are normalized on construction and immutable afterwards:
 factors are sorted under the fixed atom order, like monomials are merged,
 zero coefficients and zero exponents are dropped.  Equality, hashing and
 printing are therefore structural and deterministic.
@@ -24,10 +26,8 @@ from .atoms import Atom, IndepVar, Jet, Log, Param, UnknownFn
 from .errors import CollectError, ExpressionError, UnsupportedInputError
 
 Factors = tuple  # tuple[tuple[Atom, int], ...] sorted by atom sort key
-Scalar = Union[int, Fraction, "DiffExpr"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Coeff = Union[int, Fraction]  # int when integral, else denominator > 1
+Scalar = Union[Coeff, "DiffExpr"]
 
 
 def int_digit_limit() -> int:
@@ -35,6 +35,10 @@ def int_digit_limit() -> int:
     switched off, or an interpreter before 3.10.7, which has no limit."""
     getter = getattr(sys, "get_int_max_str_digits", None)
     return getter() if getter else 0
+
+
+def _canonical(q: Coeff) -> Coeff:
+    return q.numerator if q.denominator == 1 else q
 
 
 def _factors_key(factors: Factors) -> tuple:
@@ -81,8 +85,13 @@ class DiffExpr:
 
     @classmethod
     def _from_dict(cls, data: dict) -> "DiffExpr":
-        """The one normalization: drop zero coefficients, sort monomials."""
-        items = [(f, c) for f, c in data.items() if c]
+        """The one normalization: drop zero coefficients, turn integral
+        Fractions into ints, sort monomials."""
+        items = [
+            (f, c if c.__class__ is int or c.denominator != 1 else c.numerator)
+            for f, c in data.items()
+            if c
+        ]
         items.sort(key=lambda it: _factors_key(it[0]))
         return cls._raw(tuple(items))
 
@@ -104,8 +113,10 @@ class DiffExpr:
         return _ONE_EXPR
 
     @classmethod
-    def number(cls, value: Union[int, Fraction]) -> "DiffExpr":
-        q = Fraction(value)
+    def number(cls, value: Coeff) -> "DiffExpr":
+        if not isinstance(value, (int, Fraction)):
+            raise ExpressionError(f"a coefficient must be exact, not {value!r}")
+        q = _canonical(value)
         if not q:
             return _ZERO_EXPR
         return cls._raw((((), q),))
@@ -116,7 +127,7 @@ class DiffExpr:
             raise ExpressionError("exponents must be integers")
         if exp == 0:
             return _ONE_EXPR
-        return cls._raw(((((atom, exp),), _ONE),))
+        return cls._raw(((((atom, exp),), 1),))
 
     # inspection -------------------------------------------------------
 
@@ -129,9 +140,9 @@ class DiffExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Coeff:
         if not self._terms:
-            return _ZERO
+            return 0
         return self._terms[0][1]
 
     def atoms(self) -> Iterator[Atom]:
@@ -214,7 +225,9 @@ class DiffExpr:
             raise ExpressionError("only single-monomial expressions are invertible")
         factors, coeff = self._terms[0]
         inv = tuple((atom, -exp) for atom, exp in factors)
-        return DiffExpr._raw(((_sorted_factors(inv), _ONE / coeff),))
+        # Fraction(1) / coeff, since 1 / coeff on an int gives a float
+        inv_coeff = _canonical(Fraction(1) / coeff)
+        return DiffExpr._raw(((_sorted_factors(inv), inv_coeff),))
 
     def __pow__(self, exponent) -> "DiffExpr":
         if not isinstance(exponent, int):
@@ -254,7 +267,7 @@ class DiffExpr:
         if not mapping:
             return self
 
-        def image(factors: Factors, coeff: Fraction) -> DiffExpr:
+        def image(factors: Factors, coeff: Coeff) -> DiffExpr:
             term = DiffExpr.number(coeff)
             for atom, exp in factors:
                 target = mapping.get(atom)
@@ -300,7 +313,7 @@ class DiffExpr:
         for key in sorted(groups, key=_factors_key):
             coeff_expr = DiffExpr._from_dict(groups[key])
             if not coeff_expr.is_zero:
-                out.append((DiffExpr._raw(((key, _ONE),)), coeff_expr))
+                out.append((DiffExpr._raw(((key, 1),)), coeff_expr))
         return out
 
     # comparison and printing -------------------------------------------
@@ -347,7 +360,7 @@ class DiffExpr:
 
 
 _ZERO_EXPR = DiffExpr._raw(())
-_ONE_EXPR = DiffExpr._raw((((), _ONE),))
+_ONE_EXPR = DiffExpr._raw((((), 1),))
 
 
 def as_expr(value: Scalar) -> DiffExpr:

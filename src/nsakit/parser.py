@@ -452,7 +452,7 @@ def _power(e: DiffExpr, n: int, op: _Token) -> DiffExpr:
         return e**n
     # a one-term base is refused before the power is taken: k of b bits
     # gives |k^n| >= 2^((b-1)|n|) >= 10^limit once 3(b-1)|n| > 10*limit
-    first = e.terms[0][1] if len(e.terms) == 1 else Fraction(0)
+    first = e.terms[0][1] if len(e.terms) == 1 else 0
     early = any(3 * (k.bit_length() - 1) * abs(n) > 10 * limit
                 for k in (first.numerator, first.denominator))
     if not early:

@@ -91,3 +91,22 @@ def test_substitution_families_are_consistent():
     cubic = substitute_symbols(cubic, {"A": parse_expression("t")})
     w32b = load_fixture("W32b.nsa").substitutions[0]
     assert cubic == w32b
+
+
+def test_each_vector_is_normalized_once(monkeypatch):
+    """The catalog checks triviality on the vector it already normalized:
+    17 density_normalize calls over the 14 entries, one per vector."""
+    from nsakit import catalog, conslaw
+
+    normalize = conslaw.density_normalize
+    calls = []
+
+    def counting(cv, eq):
+        calls.append(cv)
+        return normalize(cv, eq)
+
+    for module in (catalog, conslaw):
+        monkeypatch.setattr(module, "density_normalize", counting)
+    for entry in catalog_entries():
+        assert verify_entry(entry.id).ok
+    assert len(calls) == 17

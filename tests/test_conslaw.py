@@ -20,6 +20,7 @@ from nsakit import (
     verify_divergence,
 )
 from nsakit.atoms import IndepVar, Jet
+from nsakit.conslaw import is_trivial_normalized
 
 T = DiffExpr.from_atom(IndepVar("t"))
 X = DiffExpr.from_atom(IndepVar("x"))
@@ -196,6 +197,8 @@ def test_is_trivial():
         total_derivative(h, "x"), -total_derivative(h, "t")
     )
     assert is_trivial(cv, eq)
+    assert is_trivial_normalized(density_normalize(cv, eq), eq)
+    assert not is_trivial_normalized(cv, eq)  # the density is not yet moved
     real = density_normalize(
         localize(
             ibragimov_vector(
@@ -206,6 +209,7 @@ def test_is_trivial():
         scaling_equation(),
     )
     assert not is_trivial(real, scaling_equation())
+    assert not is_trivial_normalized(real, scaling_equation())
 
 
 def test_repeated_normalization_keeps_the_provenance_identities():

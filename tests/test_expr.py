@@ -6,9 +6,23 @@ from functools import reduce
 from operator import add
 
 import pytest
-from genexpr import F_POW, random_expr
+from genexpr import (
+    CALCULUS_ATOMS,
+    DIFFERENTIABLE_LOG_ARGS,
+    F_POW,
+    U_X as U_X_ATOM,
+    random_expr,
+)
 
-from nsakit import DiffExpr, as_expr, equal, ln, primitive_normal
+from nsakit import (
+    DiffExpr,
+    as_expr,
+    equal,
+    ln,
+    parse_expression,
+    primitive_normal,
+    total_derivative,
+)
 from nsakit.atoms import ORDER_CAP, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from nsakit.errors import CollectError, ExpressionError, OrderCapError
 
@@ -210,3 +224,64 @@ def test_sort_key_is_built_once_per_expression():
     assert g == f
     assert g.sort_key() == f.sort_key()
     assert hash(g) == hash(f)
+
+
+def _coefficients(e):
+    """Every stored coefficient, including those inside ln arguments."""
+    yield from (c for _, c in e.terms)
+    for atom in e.atoms():
+        if isinstance(atom, Log):
+            yield from (c for _, c in atom.arg.terms)
+
+
+def _assert_canonical(e):
+    for c in _coefficients(e):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (
+            f"{c!r} in {e}"
+        )
+
+
+def _monomial(rng):
+    while True:
+        e = random_expr(rng, max_terms=1, log_args=DIFFERENTIABLE_LOG_ARGS)
+        if len(e.terms) == 1:
+            return e
+
+
+def test_coefficients_are_int_when_integral():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a = random_expr(rng, atoms=CALCULUS_ATOMS, log_args=DIFFERENTIABLE_LOG_ARGS)
+        b = random_expr(rng, atoms=CALCULUS_ATOMS, log_args=DIFFERENTIABLE_LOG_ARGS)
+        m = _monomial(rng)
+        poly = random_expr(rng, log_args=(), allow_negative_exp=False)
+        results = [
+            a, a + b, a - b, a * b, a / m, m**-1, primitive_normal(a),
+            total_derivative(a, "x"), total_derivative(a, "t"),
+            a.subs_atoms({Jet("u"): m}), poly.subs_atoms({U_X_ATOM: b}),
+        ]
+        results += [coeff for _key, coeff in poly.collect({Jet("u"), U_X_ATOM})]
+        for e in results:
+            _assert_canonical(e)
+    # integral sums and products of Fractions come back as ints
+    half = Fraction(1, 2) * U
+    assert (half + half).terms == ((((Jet("u"), 1),), 1),)
+    assert type((half * 4).leading_coeff()) is int
+
+
+def test_canonical_coefficient_edge_cases():
+    assert DiffExpr.number(Fraction(4, 2)).terms == (((), 2),)
+    assert type(DiffExpr.number(Fraction(4, 2)).leading_coeff()) is int
+    third = (DiffExpr.number(1) / 3).leading_coeff()
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert type(((3 * U) ** -1 * 3).leading_coeff()) is int
+    assert type(parse_expression("4/2").leading_coeff()) is int
+    assert parse_expression("4/2") == DiffExpr.number(2)
+    assert type(parse_expression("1/3").leading_coeff()) is Fraction
+    two, two_q = DiffExpr.number(2), DiffExpr.number(Fraction(2))
+    assert two == two_q and hash(two) == hash(two_q)
+    assert two.terms == two_q.terms and type(two_q.leading_coeff()) is int
+    assert type(DiffExpr.zero().leading_coeff()) is int
+    for inexact in (0.5, "1/3"):
+        with pytest.raises(ExpressionError, match="must be exact"):
+            DiffExpr.number(inexact)

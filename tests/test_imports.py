@@ -1,6 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-every dataclass field of the package is read somewhere in it, and no
-module of the package rewrites a frozen value."""
+every dataclass field of the package is read somewhere in it, no module
+of the package rewrites a frozen value, and none computes with floats."""
 
 import ast
 from pathlib import Path
@@ -99,3 +99,15 @@ def test_no_module_calls_object_setattr():
         and node.func.value.id == "object"
     ]
     assert not calls, "object.__setattr__ calls:\n" + "\n".join(calls)
+
+
+def test_no_module_uses_floating_point():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+    ]
+    assert not found, "float literals or float() calls:\n" + "\n".join(found)
