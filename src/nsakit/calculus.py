@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from itertools import chain
 from typing import Callable, Iterator, Optional, Union
 
-from .atoms import ORDER_CAP, Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
+from .atoms import Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from .errors import (
     EquationFormError,
     ExpressionError,
@@ -337,8 +337,6 @@ def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:
     """
     if eq.dep != "u":
         raise UnsupportedInputError("symmetry action is defined for u-equations")
-    if eq.order + 1 > ORDER_CAP:
-        raise UnsupportedInputError("equation order too close to the order cap")
     f = eq.lhs
     dw = derivative_table(characteristic(sym))
     action = DiffExpr.sum(

@@ -34,7 +34,7 @@ from .calculus import (
     total_derivative,
 )
 from .errors import UnsupportedInputError
-from .expr import DiffExpr, _factors_key, jet, ln
+from .expr import DiffExpr, jet, ln
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,9 @@ def _transfer_candidate(factors, coeff):
     Handles terms linear in their highest pure x-derivative u_kx whose
     remaining jet content stops at order k-1; the order k-1 power combines
     by the power rule, with exponent -1 producing a logarithm.  Returns
-    (h_piece, residual) with monomial == D_x(h_piece) + residual.
+    h_piece = rest * integrated, where rest is the monomial without its
+    u_kx and u_(k-1)x factors; the monomial minus D_x(h_piece) is then
+    -D_x(rest) * integrated, which stops at order k-1.
     """
     jets_x = {}
     for atom, exp in factors:
@@ -124,12 +126,9 @@ def _transfer_candidate(factors, coeff):
     m = jets_x.get(k - 1, 0)
     top = Jet("u", 0, k)
     slot = Jet("u", 0, k - 1)
-    rest = DiffExpr.number(coeff)
-    for atom, exp in factors:
-        if atom == top or atom == slot:
-            continue
-        if isinstance(atom, Jet) and atom.x_order > k - 2:
-            return None
+    kept = tuple(it for it in factors if it[0] != top and it[0] != slot)
+    # every other jet has x-order at most k-2: k is the highest, k-1 the slot
+    for atom, _exp in kept:
         if isinstance(atom, Log):
             inner_order = max(
                 (
@@ -141,14 +140,11 @@ def _transfer_candidate(factors, coeff):
             )
             if inner_order > k - 2:
                 return None
-        rest = rest * DiffExpr.from_atom(atom, exp)
     if m == -1:
         integrated = ln(jet("u", 0, k - 1))
     else:
         integrated = jet("u", 0, k - 1) ** (m + 1) * Fraction(1, m + 1)
-    h_piece = rest * integrated
-    residual = -total_derivative(rest, "x") * integrated
-    return h_piece, residual
+    return DiffExpr._raw(((kept, coeff),)) * integrated
 
 
 def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
@@ -156,7 +152,9 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
 
     Finds h with C0 = A0 + D_x(h) and returns (A0, C1 + D_t(h)); the pair
     is then rescaled by -1 if needed so the leading monomial of A0 has a
-    positive coefficient.  The transfer h and the sign are folded into the
+    positive coefficient.  Each step takes the term of highest pure
+    x-order that ``_transfer_candidate`` accepts and subtracts D_x of its
+    h_piece from the density.  The transfer h and the sign are folded into the
     provenance, so against the vector first normalized sign*C0 - A0 =
     D_x(transfer) and A1 - sign*C1 = D_t(transfer) hold exactly, also after
     repeated normalization.  When no term is transferable the components
@@ -169,20 +167,15 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
     h_pieces = []
     seen = {work}
     while True:
-        ordered = sorted(
-            work.terms,
-            key=lambda it: (-_top_x_order(it[0]), _factors_key(it[0])),
-        )
-        step = None
+        # stable on the canonical order of .terms, which breaks the ties
+        ordered = sorted(work.terms, key=lambda it: -_top_x_order(it[0]))
         for factors, coeff in ordered:
-            step = _transfer_candidate(factors, coeff)
-            if step is not None:
-                mono = DiffExpr._raw(((factors, coeff),))
+            h_piece = _transfer_candidate(factors, coeff)
+            if h_piece is not None:
                 break
-        if step is None:
+        else:
             break
-        h_piece, residual = step
-        work = work - mono + residual
+        work = work - total_derivative(h_piece, "x")
         h_pieces.append(h_piece)
         if work in seen:
             break

@@ -8,7 +8,9 @@ whose denominator exceeds 1.  The zero expression is the empty sum.
 Expressions are normalized on construction and immutable afterwards:
 factors are sorted under the fixed atom order, like monomials are merged,
 zero coefficients and zero exponents are dropped.  Equality, hashing and
-printing are therefore structural and deterministic.
+printing are therefore structural and deterministic.  ``_accumulate_product``
+is the one place where the factors of two monomials are merged and sorted;
+every product, derivation and substitution builds its monomials through it.
 
 There are no floating point numbers anywhere and no automatic rewriting
 beyond ring arithmetic: ln stays opaque, coefficient functions stay
@@ -45,10 +47,6 @@ def _factors_key(factors: Factors) -> tuple:
     return tuple((atom.sort_key(), exp) for atom, exp in factors)
 
 
-def _sorted_factors(items: Iterable[tuple[Atom, int]]) -> Factors:
-    return tuple(sorted(items, key=lambda it: it[0].sort_key()))
-
-
 def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
     """Add the monomial c1*f1 times each (factors, coeff) of ``terms`` into
     ``data``, a dict from factors to coefficient awaiting ``_from_dict``."""
@@ -58,7 +56,9 @@ def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
             merged = dict(base)
             for atom, exp in f2:
                 merged[atom] = merged.get(atom, 0) + exp
-            key = _sorted_factors(it for it in merged.items() if it[1])
+            items = [it for it in merged.items() if it[1]]
+            items.sort(key=lambda it: it[0].sort_key())
+            key = tuple(items)
         else:
             key = f1
         data[key] = data.get(key, 0) + c1 * c2
@@ -224,10 +224,11 @@ class DiffExpr:
         if len(self._terms) != 1:
             raise ExpressionError("only single-monomial expressions are invertible")
         factors, coeff = self._terms[0]
+        # negated exponents keep the atom order
         inv = tuple((atom, -exp) for atom, exp in factors)
         # Fraction(1) / coeff, since 1 / coeff on an int gives a float
         inv_coeff = _canonical(Fraction(1) / coeff)
-        return DiffExpr._raw(((_sorted_factors(inv), inv_coeff),))
+        return DiffExpr._raw(((inv, inv_coeff),))
 
     def __pow__(self, exponent) -> "DiffExpr":
         if not isinstance(exponent, int):
@@ -262,13 +263,16 @@ class DiffExpr:
         """Replace atoms by expressions, recursing into ln arguments.
 
         A negative power of a replaced atom requires the replacement to be
-        a single invertible monomial.
+        a single invertible monomial.  The untouched factors of a term stay
+        one sorted monomial; only the images of the replaced ones are
+        multiplied, and every term goes into one dict, normalized once.
         """
         if not mapping:
             return self
-
-        def image(factors: Factors, coeff: Coeff) -> DiffExpr:
-            term = DiffExpr.number(coeff)
+        data: dict = {}
+        for factors, coeff in self._terms:
+            kept = []
+            image = _ONE_EXPR
             for atom, exp in factors:
                 target = mapping.get(atom)
                 if target is None and isinstance(atom, Log):
@@ -276,12 +280,11 @@ class DiffExpr:
                     if new_arg != atom.arg:
                         target = ln(new_arg)
                 if target is None:
-                    term = term * DiffExpr.from_atom(atom, exp)
+                    kept.append((atom, exp))
                 else:
-                    term = term * target**exp
-            return term
-
-        return DiffExpr.sum(image(f, c) for f, c in self._terms)
+                    image = image * target**exp
+            _accumulate_product(data, tuple(kept), coeff, image._terms)
+        return DiffExpr._from_dict(data)
 
     def collect(self, selected: Iterable[Atom]) -> list:
         """Group terms by their power products over the selected atoms.

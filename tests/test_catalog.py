@@ -9,6 +9,7 @@ from nsakit import (
     Classification,
     catalog_entries,
     catalog_entry,
+    load_fixture,
     parse_expression,
     substitute_symbols,
     verify_entry,
@@ -75,8 +76,6 @@ def test_substitution_families_are_consistent():
     + c3*x*u^-1 + c4*u^-1 + c5 leaves u^-1 (with c5 = 0); keeping only c1
     at a(t) := 1 (so A = t) leaves x^3*u^-1 - 6*t.
     """
-    from nsakit.catalog import load_fixture
-
     family = load_fixture("type-3-IV.nsa").substitutions[0]
     narrow = substitute_symbols(
         family, {"c1": 0, "c2": 0, "c3": 0, "c4": 1, "c5": 0}
@@ -110,3 +109,9 @@ def test_each_vector_is_normalized_once(monkeypatch):
     for entry in catalog_entries():
         assert verify_entry(entry.id).ok
     assert len(calls) == 17
+
+
+def test_reported_residual_is_set_exactly_for_conserved_blocks():
+    for entry in catalog_entries():
+        has_block = bool(load_fixture(entry.fixture).conserved)
+        assert (entry.reported_residual is not None) == has_block, entry.id

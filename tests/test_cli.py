@@ -335,6 +335,15 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
     ):
         code, out, err = run(capsys, "adjoint", doc_path(text))
         assert (code, out, err) == (want_code, "", f"error: {message}\n"), text
+    # the prolongation of a twelfth-order equation needs a jet of order 13
+    code, out, err = run(
+        capsys,
+        "check-symmetry",
+        doc_path("u_t + u_xxxxxxxxxxxx = 0;\n"),
+        "--symmetry",
+        "tau = 0; xi = 1; eta = 0",
+    )
+    assert (code, out, err) == (3, "", f"error: {cap}\n")
     long_sum = "u_t + " + "9" * 4300 + "*u_x + u_x = 0;\n"
     code, out, err = run(capsys, "fmt", doc_path(long_sum))
     assert (code, out) == (3, "")

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from nsakit import (
     ConservedVector,
     DiffExpr,
@@ -15,6 +17,7 @@ from nsakit import (
     ln,
     localize,
     parse_document,
+    parse_expression,
     prolonged_action,
     total_derivative,
     verify_divergence,
@@ -212,11 +215,54 @@ def test_is_trivial():
     assert not is_trivial_normalized(real, scaling_equation())
 
 
-def test_repeated_normalization_keeps_the_provenance_identities():
+@pytest.mark.parametrize(
+    "c0, c1, want",
+    [
+        (
+            -(U**2) + U * U_XX + U_X**2,
+            T * U**3,
+            ("u^2", "-t*u^3 - u*u_tx - u_x*u_t", "-u*u_x", -1),
+        ),
+        # the power -1 of the slot below u_xx integrates to a logarithm
+        (
+            U_XX * ln(U),
+            DiffExpr.zero(),
+            ("u^-1*u_x^2", "-u^-1*u_x*u_t - u_tx*ln(u)", "-u_x*ln(u)", -1),
+        ),
+        (
+            U_X * U_XXX * ln(U),
+            DiffExpr.zero(),
+            (
+                "1/3*u^-2*u_x^4 + u_xx^2*ln(u)",
+                "-1/3*u^-2*u_x^3*u_t - u^-1*u_x*u_xx*u_t + u^-1*u_x^2*u_tx"
+                " - u_x*u_txx*ln(u) - u_xx*u_tx*ln(u)",
+                "1/3*u^-1*u_x^3 - u_x*u_xx*ln(u)",
+                -1,
+            ),
+        ),
+        (
+            U_X**-1 * U_XX * ln(U),
+            DiffExpr.zero(),
+            (
+                "u^-1*u_x*ln(u_x)",
+                "-u^-1*u_t*ln(u_x) - u_x^-1*u_tx*ln(u)",
+                "-ln(u)*ln(u_x)",
+                -1,
+            ),
+        ),
+        # a logarithm of the slot u_x is refused: returned unchanged
+        (U_XX * ln(U_X), DiffExpr.zero(), ("u_xx*ln(u_x)", "0", "0", 1)),
+    ],
+    ids=["polynomial", "uxx_ln_u", "ux_uxxx_ln_u", "uxx_per_ux_ln_u", "ln_ux_refused"],
+)
+def test_repeated_normalization_keeps_the_provenance_identities(c0, c1, want):
     eq = Equation(DiffExpr.from_atom(Jet("u", 1, 0)) + U * U_XXX)
-    original = ConservedVector(-(U**2) + U * U_XX + U_X**2, T * U**3)
+    original = ConservedVector(c0, c1)
     once = density_normalize(original, eq)
-    assert (once.provenance.transfer, once.provenance.sign) == (-U * U_X, -1)
+    *texts, sign = want
+    pinned = [parse_expression(text) for text in texts]
+    assert [once.c0, once.c1, once.provenance.transfer] == pinned
+    assert once.provenance.sign == sign
     twice = density_normalize(once, eq)
     assert (twice.c0, twice.c1) == (once.c0, once.c1)
     for cv in (once, twice):

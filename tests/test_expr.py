@@ -120,6 +120,109 @@ def test_subs_atoms_rewrites_log_arguments():
     assert swapped == ln(v) + v
 
 
+def _per_factor_subs(e, mapping):
+    """Reference substitution: each term a product folded over the images
+    of its factors, merged by sum."""
+
+    def image(factors, coeff):
+        term = DiffExpr.number(coeff)
+        for atom, exp in factors:
+            target = mapping.get(atom)
+            if target is None and isinstance(atom, Log):
+                new_arg = _per_factor_subs(atom.arg, mapping)
+                if new_arg != atom.arg:
+                    target = ln(new_arg)
+            if target is None:
+                term = term * DiffExpr.from_atom(atom, exp)
+            else:
+                term = term * target**exp
+        return term
+
+    return DiffExpr.sum(image(f, c) for f, c in e.terms)
+
+
+def _log_free(rng, max_terms, allow_negative_exp):
+    while True:
+        e = random_expr(
+            rng,
+            atoms=CALCULUS_ATOMS,
+            max_terms=max_terms,
+            log_args=(),
+            allow_negative_exp=allow_negative_exp,
+        )
+        if not e.is_zero:
+            return e
+
+
+def test_subs_atoms_matches_the_per_factor_fold():
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(100):
+        # jets to sums need non-negative powers of the replaced jets
+        poly = random_expr(
+            rng,
+            atoms=CALCULUS_ATOMS,
+            log_args=DIFFERENTIABLE_LOG_ARGS,
+            allow_negative_exp=False,
+        )
+        to_sums = {
+            Jet("u"): _log_free(rng, 3, False),
+            U_X_ATOM: _log_free(rng, 3, False),
+        }
+        cases.append((poly, to_sums))
+        # jets and t to monomials: negative powers invert the image
+        general = random_expr(
+            rng, atoms=CALCULUS_ATOMS, log_args=DIFFERENTIABLE_LOG_ARGS
+        )
+        to_monomials = {
+            Jet("u"): _log_free(rng, 1, True),
+            Jet("u", 0, 2): _log_free(rng, 1, True),
+            IndepVar("t"): _log_free(rng, 1, True),
+        }
+        cases.append((general, to_monomials))
+    assert any(
+        isinstance(a, Log) and a.arg.subs_atoms(mapping) != a.arg
+        for e, mapping in cases
+        for a in e.atoms()
+    )
+    assert any(
+        exp < 0 and atom in mapping
+        for e, mapping in cases
+        for factors, _coeff in e.terms
+        for atom, exp in factors
+    )
+    for e, mapping in cases:
+        got, want = e.subs_atoms(mapping), _per_factor_subs(e, mapping)
+        assert got == want, str(e)
+        assert str(got) == str(want)
+    # a negative power of an atom mapped to a sum is refused by both
+    inverse = U_X * U**-2
+    for subs in (DiffExpr.subs_atoms, _per_factor_subs):
+        with pytest.raises(ExpressionError, match="single-monomial"):
+            subs(inverse, {Jet("u"): U + T})
+
+
+def test_subs_atoms_normalizes_once(monkeypatch):
+    e = DiffExpr.sum(
+        Fraction(i + j + 1, 3) * X**i * U**j * U_X
+        for i in range(10)
+        for j in range(10)
+    )
+    assert len(e.terms) == 100
+    assert not any(isinstance(a, Log) for a in e.atoms())
+    normalize = DiffExpr._from_dict
+    calls = []
+
+    def counting(cls, data):
+        calls.append(len(data))
+        return normalize(data)
+
+    monkeypatch.setattr(DiffExpr, "_from_dict", classmethod(counting))
+    out = e.subs_atoms({Jet("v"): U})
+    assert calls == [100]
+    assert out == e
+
+
 def test_sum_accepts_numbers_and_cancels():
     assert DiffExpr.sum([]) == DiffExpr.zero()
     assert DiffExpr.sum(iter(())).is_zero
