@@ -82,14 +82,19 @@ def classify_substitution(sub: Substitution) -> Classification:
     nonzero; weak: phi_u nonzero together with explicit x or t dependence;
     nonlinear: everything else (in particular phi_u = 0).
     """
-    phi = sub.phi
+    return _classify(sub.phi, _partials(sub.phi))
+
+
+def _partials(phi: DiffExpr) -> dict[str, DiffExpr]:
+    """phi_x, phi_t and phi_u, each computed once."""
+    return {name: partial_coord(phi, name) for name in ("x", "t", "u")}
+
+
+def _classify(phi: DiffExpr, partials: dict[str, DiffExpr]) -> Classification:
     if equal(phi, jet("u")):
         return Classification.STRICT
-    phi_u = partial_coord(phi, "u")
-    phi_x = partial_coord(phi, "x")
-    phi_t = partial_coord(phi, "t")
-    if not phi_u.is_zero:
-        if phi_x.is_zero and phi_t.is_zero:
+    if not partials["u"].is_zero:
+        if partials["x"].is_zero and partials["t"].is_zero:
             return Classification.QUASI
         return Classification.WEAK
     return Classification.NONLINEAR
@@ -111,10 +116,10 @@ class NsaReport:
         return f"nonlinear self-adjointness {verdict}{extra}"
 
 
-def _nsa_residual(eq: Equation, phi: DiffExpr) -> DiffExpr:
+def _nsa_residual(eq: Equation, phi: DiffExpr, phi_u: DiffExpr) -> DiffExpr:
     """F*|_{v=phi} + phi_u*F, zero exactly when F* = -phi_u*F under v = phi."""
     fstar = substitute_dependent(adjoint_equation(eq), "v", phi)
-    return fstar + partial_coord(phi, "u") * eq.lhs
+    return fstar + phi_u * eq.lhs
 
 
 def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
@@ -125,20 +130,15 @@ def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     the equation's self-adjointness through other substitutions.
     """
     phi = sub.phi
-    lam = -partial_coord(phi, "u")
-    residual = _nsa_residual(eq, phi)
+    partials = _partials(phi)
+    residual = _nsa_residual(eq, phi, partials["u"])
     holds = residual.is_zero
-    partials = tuple(
-        name
-        for name in ("x", "t", "u")
-        if not partial_coord(phi, name).is_zero
-    )
     return NsaReport(
         holds=holds,
-        multiplier=lam,
+        multiplier=-partials["u"],
         residual=residual,
-        classification=classify_substitution(sub) if holds else None,
-        nonzero_partials=partials,
+        classification=_classify(phi, partials) if holds else None,
+        nonzero_partials=tuple(name for name, p in partials.items() if p),
     )
 
 
@@ -151,7 +151,8 @@ def determining_system_detailed(eq: Equation) -> list[tuple[DiffExpr, DiffExpr]]
     u_t coefficient cancels identically, which is exactly why the
     multiplier is forced.
     """
-    residual = _nsa_residual(eq, unknown("phi"))
+    phi = unknown("phi")
+    residual = _nsa_residual(eq, phi, partial_coord(phi, "u"))
     selected = {j for j in residual.jets("u") if j.order() >= 1}
     return [
         (key, primitive_normal(coeff))

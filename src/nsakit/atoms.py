@@ -12,14 +12,16 @@ An atom is one of:
 * ``Jet``      -- a jet coordinate ``u_{t^m x^k}`` of a dependent variable;
 * ``Log``      -- an opaque natural logarithm of a canonical expression.
 
-Atoms are immutable, hashable and totally ordered through ``sort_key``.
-The relative order of the classes is fixed: IndepVar < Param < CoeffFn <
-UnknownFn < Jet < Log.
+Every atom is an immutable tuple whose value is its place in the atom
+order, so equality, hashing and ordering are those of the tuple.  The
+leading tag fixes the order of the classes: IndepVar (0) < Param (1) <
+CoeffFn (2) < UnknownFn (3) < Jet (4) < Log (5).  An expression inside an
+atom (a rule or a ln argument) compares through ``DiffExpr.__lt__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ExpressionError, OrderCapError
@@ -40,42 +42,44 @@ def _check_cap(total: int, what: str) -> None:
         raise OrderCapError(f"{what} exceeds the order cap {ORDER_CAP}")
 
 
-class Atom:
-    """Common base; concrete atoms are the frozen dataclasses below."""
+class Atom(tuple):
+    """Common base; each concrete atom below builds its tuple value in
+    ``__new__`` and reads its named fields back from it."""
 
     __slots__ = ()
 
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def __reduce__(self):
+        # copy and pickle restore the value, which was checked when built
+        return tuple.__new__, (type(self), tuple(self))
 
 
-@dataclass(frozen=True, slots=True)
 class IndepVar(Atom):
-    name: str
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.name not in ("t", "x"):
-            raise ExpressionError(f"unknown independent variable {self.name!r}")
-
-    def sort_key(self) -> tuple:
-        return (0, self.name)
+    def __new__(cls, name: str):
+        if name not in ("t", "x"):
+            raise ExpressionError(f"unknown independent variable {name!r}")
+        return tuple.__new__(cls, (0, name))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Param(Atom):
-    name: str
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def sort_key(self) -> tuple:
-        return (1, self.name)
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (1, name))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class CoeffFn(Atom):
     """Coefficient function of t.
 
@@ -85,56 +89,51 @@ class CoeffFn(Atom):
     stored with the rule-less f), so no atom contains itself.
     """
 
-    name: str
-    primes: int = 0
-    rule: Optional["DiffExpr"] = None
+    __slots__ = ()
+    name = property(itemgetter(1))
+    primes = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.primes < 0:
+    def __new__(cls, name: str, primes: int = 0, rule: Optional["DiffExpr"] = None):
+        if primes < 0:
             raise ExpressionError("negative prime count")
-        if self.rule is not None and self.primes:
+        if rule is None:
+            return tuple.__new__(cls, (2, name, primes))
+        if primes:
             raise ExpressionError("explicitly ruled functions do not take primes")
+        return tuple.__new__(cls, (2, name, primes, rule))
 
-    def sort_key(self) -> tuple:
-        if self.rule is None:
-            return (2, self.name, self.primes)
-        return (2, self.name, self.primes, self.rule.sort_key())
+    @property
+    def rule(self) -> Optional["DiffExpr"]:
+        return self[3] if len(self) > 3 else None
 
     def __str__(self) -> str:
         return self.name + "'" * self.primes
 
 
-@dataclass(frozen=True, slots=True)
 class UnknownFn(Atom):
     """Partial derivative phi_{t^a x^b u^c} of an undetermined function."""
 
-    name: str
-    t_count: int = 0
-    x_count: int = 0
-    u_count: int = 0
+    __slots__ = ()
+    name = property(itemgetter(1))
+    t_count = property(itemgetter(3))
+    x_count = property(itemgetter(4))
+    u_count = property(itemgetter(5))
 
-    def __post_init__(self):
-        if min(self.t_count, self.x_count, self.u_count) < 0:
+    def __new__(cls, name: str, t_count: int = 0, x_count: int = 0, u_count: int = 0):
+        if min(t_count, x_count, u_count) < 0:
             raise ExpressionError("negative derivative count")
-        _check_cap(self.order(), f"partial derivative of {self.name}")
+        order = t_count + x_count + u_count
+        _check_cap(order, f"partial derivative of {name}")
+        return tuple.__new__(cls, (3, name, order, t_count, x_count, u_count))
 
     def order(self) -> int:
-        return self.t_count + self.x_count + self.u_count
+        return self[2]
 
     def bump(self, coord: str) -> "UnknownFn":
-        t, x, u = self.t_count, self.x_count, self.u_count
-        if coord == "t":
-            t += 1
-        elif coord == "x":
-            x += 1
-        elif coord == "u":
-            u += 1
-        else:
+        if coord not in ("t", "x", "u"):
             raise ExpressionError(f"unknown coordinate {coord!r}")
-        return UnknownFn(self.name, t, x, u)
-
-    def sort_key(self) -> tuple:
-        return (3, self.name, self.order(), self.t_count, self.x_count, self.u_count)
+        counts = (n + (c == coord) for n, c in zip(self[3:], "txu"))
+        return UnknownFn(self.name, *counts)
 
     def __str__(self) -> str:
         if not self.order():
@@ -143,23 +142,24 @@ class UnknownFn(Atom):
         return f"{self.name}_{sub}"
 
 
-@dataclass(frozen=True, slots=True)
 class Jet(Atom):
     """Jet coordinate; (0, 0) is the dependent variable itself."""
 
-    dep: str
-    t_order: int = 0
-    x_order: int = 0
+    __slots__ = ()
+    t_order = property(itemgetter(1))
+    x_order = property(itemgetter(2))
+    dep = property(itemgetter(3))
 
-    def __post_init__(self):
-        if self.dep not in DEPENDENTS:
-            raise ExpressionError(f"unknown dependent variable {self.dep!r}")
-        if min(self.t_order, self.x_order) < 0:
+    def __new__(cls, dep: str, t_order: int = 0, x_order: int = 0):
+        if dep not in DEPENDENTS:
+            raise ExpressionError(f"unknown dependent variable {dep!r}")
+        if min(t_order, x_order) < 0:
             raise ExpressionError("negative jet order")
-        _check_cap(self.order(), f"jet of {self.dep}")
+        _check_cap(t_order + x_order, f"jet of {dep}")
+        return tuple.__new__(cls, (4, t_order, x_order, dep))
 
     def order(self) -> int:
-        return self.t_order + self.x_order
+        return self[1] + self[2]
 
     def bump(self, coord: str) -> "Jet":
         if coord == "t":
@@ -168,16 +168,12 @@ class Jet(Atom):
             return Jet(self.dep, self.t_order, self.x_order + 1)
         raise ExpressionError(f"unknown coordinate {coord!r}")
 
-    def sort_key(self) -> tuple:
-        return (4, self.t_order, self.x_order, self.dep)
-
     def __str__(self) -> str:
         if not self.order():
             return self.dep
         return f"{self.dep}_" + "t" * self.t_order + "x" * self.x_order
 
 
-@dataclass(frozen=True, slots=True)
 class Log(Atom):
     """Opaque ln of a canonical expression.
 
@@ -185,11 +181,11 @@ class Log(Atom):
     and ordering, and differentiation produces D(arg) * arg^-1.
     """
 
-    arg: "DiffExpr"
+    __slots__ = ()
+    arg = property(itemgetter(1))
 
-    def sort_key(self) -> tuple:
-        return (5, self.arg.sort_key())
+    def __new__(cls, arg: "DiffExpr"):
+        return tuple.__new__(cls, (5, arg))
 
     def __str__(self) -> str:
         return f"ln({self.arg})"
-

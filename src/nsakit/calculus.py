@@ -148,7 +148,7 @@ def partial_coord(e: DiffExpr, coordinate: str) -> DiffExpr:
 def jet_partials(e: DiffExpr, dep: str) -> Iterator[tuple[Jet, DiffExpr]]:
     """Nonzero (J, de/du_J) over the jets of ``dep`` in e and ``dep`` itself,
     in atom order."""
-    for j in sorted(e.jets(dep) | {Jet(dep, 0, 0)}, key=Jet.sort_key):
+    for j in sorted(e.jets(dep) | {Jet(dep, 0, 0)}):
         p = partial_jet(e, j)
         if not p.is_zero:
             yield j, p

@@ -6,11 +6,12 @@ exponents (negative exponents allowed).  A coefficient has one canonical
 form: an ``int`` when its value is integral, otherwise a ``Fraction``
 whose denominator exceeds 1.  The zero expression is the empty sum.
 Expressions are normalized on construction and immutable afterwards:
-factors are sorted under the fixed atom order, like monomials are merged,
-zero coefficients and zero exponents are dropped.  Equality, hashing and
-printing are therefore structural and deterministic.  ``_accumulate_product``
-is the one place where the factors of two monomials are merged and sorted;
-every product, derivation and substitution builds its monomials through it.
+factors are sorted by atom (an atom's tuple value is its place in the
+order), like monomials are merged, zero coefficients and zero exponents are
+dropped.  Equality, hashing and printing are therefore structural and
+deterministic.  ``_accumulate_product`` is the one place where the
+factors of two monomials are merged and sorted; every product, derivation
+and substitution builds its monomials through it.
 
 There are no floating point numbers anywhere and no automatic rewriting
 beyond ring arithmetic: ln stays opaque, coefficient functions stay
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 from .atoms import Atom, IndepVar, Jet, Log, Param, UnknownFn
 from .errors import CollectError, ExpressionError, UnsupportedInputError
 
-Factors = tuple  # tuple[tuple[Atom, int], ...] sorted by atom sort key
+Factors = tuple  # tuple[tuple[Atom, int], ...] sorted by atom
 Coeff = Union[int, Fraction]  # int when integral, else denominator > 1
 Scalar = Union[Coeff, "DiffExpr"]
 
@@ -43,10 +44,6 @@ def _canonical(q: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-def _factors_key(factors: Factors) -> tuple:
-    return tuple((atom.sort_key(), exp) for atom, exp in factors)
-
-
 def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
     """Add the monomial c1*f1 times each (factors, coeff) of ``terms`` into
     ``data``, a dict from factors to coefficient awaiting ``_from_dict``."""
@@ -56,9 +53,7 @@ def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
             merged = dict(base)
             for atom, exp in f2:
                 merged[atom] = merged.get(atom, 0) + exp
-            items = [it for it in merged.items() if it[1]]
-            items.sort(key=lambda it: it[0].sort_key())
-            key = tuple(items)
+            key = tuple(sorted(it for it in merged.items() if it[1]))
         else:
             key = f1
         data[key] = data.get(key, 0) + c1 * c2
@@ -68,7 +63,7 @@ class DiffExpr:
     """Normalized sum of monomials; supports +, -, *, /, ** and unary -."""
 
     # _key memoizes sort_key(): the value is immutable, and a ruled CoeffFn
-    # or a Log is compared through the key of its rule or argument
+    # or a Log compares its rule or argument through __lt__
     __slots__ = ("_terms", "_key")
 
     def __init__(self):
@@ -92,7 +87,7 @@ class DiffExpr:
             for f, c in data.items()
             if c
         ]
-        items.sort(key=lambda it: _factors_key(it[0]))
+        items.sort()
         return cls._raw(tuple(items))
 
     @classmethod
@@ -169,10 +164,12 @@ class DiffExpr:
     def sort_key(self) -> tuple:
         if self._key is None:
             self._key = tuple(
-                (_factors_key(f), (c.numerator, c.denominator))
-                for f, c in self._terms
+                (f, (c.numerator, c.denominator)) for f, c in self._terms
             )
         return self._key
+
+    def __lt__(self, other: "DiffExpr") -> bool:
+        return self.sort_key() < other.sort_key()
 
     # arithmetic -------------------------------------------------------
 
@@ -237,10 +234,10 @@ class DiffExpr:
             return _ONE_EXPR
         base = self if exponent > 0 else self._monomial_inverse()
         n = abs(exponent)
-        result = _ONE_EXPR
+        result = None
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base_sq = base * base if n > 1 else base
             base, n = base_sq, n >> 1
         return result
@@ -282,7 +279,7 @@ class DiffExpr:
                 if target is None:
                     kept.append((atom, exp))
                 else:
-                    image = image * target**exp
+                    image = target**exp if image is _ONE_EXPR else image * target**exp
             _accumulate_product(data, tuple(kept), coeff, image._terms)
         return DiffExpr._from_dict(data)
 
@@ -313,7 +310,7 @@ class DiffExpr:
             data = groups.setdefault(key, {})
             data[rest] = data.get(rest, 0) + coeff
         out = []
-        for key in sorted(groups, key=_factors_key):
+        for key in sorted(groups):
             coeff_expr = DiffExpr._from_dict(groups[key])
             if not coeff_expr.is_zero:
                 out.append((DiffExpr._raw(((key, 1),)), coeff_expr))

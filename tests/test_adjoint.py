@@ -16,12 +16,13 @@ from nsakit import (
     determining_system_detailed,
     formal_lagrangian,
     ln,
+    load_fixture,
     nsa_check,
     parse_document,
     parse_expression,
     primitive_normal,
 )
-from nsakit import calculus
+from nsakit import adjoint, calculus
 from nsakit.atoms import IndepVar, Jet, UnknownFn
 from nsakit.errors import SubstitutionError, UnsupportedInputError
 
@@ -116,6 +117,25 @@ def test_adjoint_is_computed_once_per_equation(monkeypatch):
     assert hash(eq) == hash(fresh)
     assert repr(eq) == repr(fresh)
     assert [f.name for f in dataclasses.fields(eq)] == ["lhs", "dep"]
+
+
+def test_nsa_check_computes_each_partial_once(monkeypatch):
+    doc = load_fixture("type-3-IV.nsa")
+    eq, sub = doc.equations[0], Substitution(doc.substitutions[0])
+    expected = nsa_check(eq, sub)
+    partial_coord = adjoint.partial_coord
+    calls = []
+
+    def counting(e, coordinate):
+        calls.append(coordinate)
+        return partial_coord(e, coordinate)
+
+    monkeypatch.setattr(adjoint, "partial_coord", counting)
+    report = nsa_check(eq, sub)
+    assert sorted(calls) == ["t", "u", "x"]
+    assert report == expected
+    assert report.holds and report.nonzero_partials == ("x", "t", "u")
+    assert report.classification is Classification.WEAK
 
 
 def test_substitution_validation():

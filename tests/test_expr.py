@@ -1,8 +1,11 @@
 """Exact-arithmetic expression core: construction, normal form, printing."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
+from importlib import resources
 from operator import add
 
 import pytest
@@ -16,9 +19,12 @@ from genexpr import (
 
 from nsakit import (
     DiffExpr,
+    adjoint_equation,
     as_expr,
+    determining_system,
     equal,
     ln,
+    load_fixture,
     parse_expression,
     primitive_normal,
     total_derivative,
@@ -223,6 +229,32 @@ def test_subs_atoms_normalizes_once(monkeypatch):
     assert out == e
 
 
+def test_subs_atoms_multiplies_no_single_image(monkeypatch):
+    # one replaced factor per term: its image is the replacement itself,
+    # so the only normalization is the final one
+    v = DiffExpr.from_atom(Jet("v"))
+    e = DiffExpr.sum(
+        Fraction(i + j + 1, 3) * X**i * U**j * v for i in range(10) for j in range(10)
+    )
+    assert len(e.terms) == 100
+    target = U + X
+    normalize = DiffExpr._from_dict
+    calls = []
+
+    def counting(cls, data):
+        calls.append(len(data))
+        return normalize(data)
+
+    monkeypatch.setattr(DiffExpr, "_from_dict", classmethod(counting))
+    out = e.subs_atoms({Jet("v"): target})
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # e is linear in v
+    one = DiffExpr.one()
+    assert out == e.subs_atoms({Jet("v"): U}) + X * e.subs_atoms({Jet("v"): one})
+    assert U**1 is U and (2 * U) ** -1 == Fraction(1, 2) * U**-1
+
+
 def test_sum_accepts_numbers_and_cancels():
     assert DiffExpr.sum([]) == DiffExpr.zero()
     assert DiffExpr.sum(iter(())).is_zero
@@ -308,20 +340,145 @@ def test_order_cap_blocks_huge_jets():
         Jet("u", 0, 13)
 
 
-def test_unknown_function_and_log_sort_keys_are_stable():
+def _reference_key(atom):
+    """The atom order as six per-class key formulas: a tag for the class,
+    then the fields; a rule or ln argument compares by its terms."""
+    if isinstance(atom, IndepVar):
+        return (0, atom.name)
+    if isinstance(atom, Param):
+        return (1, atom.name)
+    if isinstance(atom, CoeffFn):
+        if atom.rule is None:
+            return (2, atom.name, atom.primes)
+        return (2, atom.name, atom.primes, _reference_expr_key(atom.rule))
+    if isinstance(atom, UnknownFn):
+        return (3, atom.name, atom.order(), atom.t_count, atom.x_count, atom.u_count)
+    if isinstance(atom, Jet):
+        return (4, atom.t_order, atom.x_order, atom.dep)
+    assert isinstance(atom, Log)
+    return (5, _reference_expr_key(atom.arg))
+
+
+def _reference_expr_key(e):
+    return tuple(
+        (
+            tuple((_reference_key(atom), exp) for atom, exp in factors),
+            (c.numerator, c.denominator),
+        )
+        for factors, c in e.terms
+    )
+
+
+def _all_atoms(e):
+    """Every atom of e, descending into ln arguments and declared rules."""
+    for atom in e.atoms():
+        yield atom
+        if isinstance(atom, CoeffFn) and atom.rule is not None:
+            yield from _all_atoms(atom.rule)
+
+
+def _fixture_expressions():
+    for name in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        doc = load_fixture(name.name)
+        yield from doc.substitutions
+        yield from (DiffExpr.from_atom(f) for f in doc.declarations.funcs.values())
+        for eq in doc.equations:
+            yield eq.lhs
+            yield adjoint_equation(eq)
+            yield from determining_system(eq)
+        for sym in doc.symmetries:
+            yield from (sym.tau, sym.xi, sym.eta)
+        for vector in doc.conserved:
+            yield from (vector.c0, vector.c1)
+
+
+def _corpus():
+    """Distinct atoms and expressions of the seeded generator and of every
+    packaged fixture, shuffled."""
+    rng = random.Random(20261018)
+    exprs = [random_expr(rng) for _ in range(300)]
+    exprs += list(_fixture_expressions())
+    atoms = list({a: None for e in exprs for a in _all_atoms(e)})
+    exprs = list({e: None for e in exprs})
+    rng.shuffle(atoms)
+    rng.shuffle(exprs)
+    return atoms, exprs
+
+
+def _rebuilt(atom):
+    """An equal atom built apart from ``atom``, from its named fields."""
+    apart = lambda e: DiffExpr.sum([e])  # noqa: E731 - a new equal value
+    if isinstance(atom, CoeffFn):
+        rule = atom.rule
+        return CoeffFn(atom.name, atom.primes, rule and apart(rule))
+    if isinstance(atom, UnknownFn):
+        return UnknownFn(atom.name, atom.t_count, atom.x_count, atom.u_count)
+    if isinstance(atom, Jet):
+        return Jet(atom.dep, atom.t_order, atom.x_order)
+    if isinstance(atom, Log):
+        return Log(apart(atom.arg))
+    return type(atom)(atom.name)
+
+
+def test_atom_order_matches_the_reference_keys():
+    atoms, exprs = _corpus()
+    classes = {type(a) for a in atoms}
+    assert classes == {IndepVar, Param, CoeffFn, UnknownFn, Jet, Log}
+    assert any(isinstance(a, CoeffFn) and a.rule is not None for a in atoms)
+    assert len(atoms) > 50 and len(exprs) > 300
+    assert sorted(atoms) == sorted(atoms, key=_reference_key)
+    assert sorted(exprs) == sorted(exprs, key=_reference_expr_key)
+    assert len({_reference_key(a) for a in atoms}) == len(atoms)
+    # a Log orders by its argument, in one direction only
+    assert (Log(U) < Log(U + 1)) != (Log(U + 1) < Log(U))
+
+
+def test_equal_atoms_built_apart_are_equal():
+    atoms, _ = _corpus()
+    for atom in atoms:
+        other = _rebuilt(atom)
+        assert other is not atom
+        assert other == atom and hash(other) == hash(atom), repr(atom)
+        assert not other < atom and not atom < other
+        assert str(other) == str(atom)
+
+
+def test_atoms_are_tuples_with_read_only_fields():
     phi = UnknownFn("phi", 1, 2, 1)
     assert str(phi) == "phi_txxu"
-    assert Log(U).sort_key() < Log(U + 1).sort_key() or Log(
-        U + 1
-    ).sort_key() < Log(U).sort_key()
+    assert phi == (3, "phi", 4, 1, 2, 1)
+    assert (phi.name, phi.t_count, phi.x_count, phi.u_count) == ("phi", 1, 2, 1)
+    assert phi.order() == 4 and phi.bump("u") == UnknownFn("phi", 1, 2, 2)
+    u_tx = Jet("u", 1, 1)
+    assert (u_tx.dep, u_tx.t_order, u_tx.x_order) == ("u", 1, 1)
+    assert u_tx.bump("x") == Jet("u", 1, 2)
+    assert CoeffFn("a", 2) == (2, "a", 2) and CoeffFn("a", 2).rule is None
+    assert isinstance(Log(U), tuple) and Log(U).arg is U
+    for atom in (phi, u_tx, IndepVar("x"), Param("p"), CoeffFn("a"), Log(U)):
+        with pytest.raises(AttributeError):
+            atom.name = "b"
+        assert not hasattr(atom, "__dict__")
+    with pytest.raises(ExpressionError, match="primes"):
+        CoeffFn("f", 1, U)
+    with pytest.raises(ExpressionError):
+        IndepVar("y")
+    with pytest.raises(ExpressionError):
+        Jet("w")
+
+
+def test_expressions_survive_pickle_and_deepcopy():
+    _, exprs = _corpus()
+    for e in exprs:
+        for other in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert other == e and str(other) == str(e)
+            assert [type(a) for a in other.atoms()] == [type(a) for a in e.atoms()]
 
 
 def test_sort_key_is_built_once_per_expression():
     # a ruled function compares through its rule's key, built once
     f = DiffExpr.from_atom(F_POW)
     assert f.sort_key() is f.sort_key()
-    assert F_POW.sort_key()[3] is F_POW.rule.sort_key()
-    assert Log(U).sort_key()[1] is Log(U).sort_key()[1]
+    assert F_POW.rule.sort_key() is F_POW.rule.sort_key()
     # equal expressions built apart still have equal keys
     g = DiffExpr.sum([f * U, -U, U]) * U**-1
     assert g == f
