@@ -202,8 +202,8 @@ class Equation:
     """Evolution equation lhs = 0 with lhs = dep_t + H(...).
 
     The t-derivative of ``dep`` must occur exactly once, as a bare monomial
-    with coefficient 1; H carries no t-derivatives of ``dep``.  For dep = u
-    the lhs must not involve v.
+    with coefficient 1; H carries no t-derivatives of ``dep``, not even
+    inside a ln.  For dep = u the lhs must not involve v.
     """
 
     lhs: DiffExpr
@@ -227,9 +227,9 @@ class Equation:
                 raise EquationFormError("equations must not contain unknown functions")
         seen_plain = False
         for factors, coeff in lhs.terms:
-            if all(atom != dt for atom, _exp in factors):
+            if dt not in DiffExpr._raw(((factors, coeff),)).atoms():
                 continue
-            if len(factors) != 1:
+            if len(factors) != 1 or factors[0][0] != dt:
                 raise EquationFormError(
                     f"t-derivative {dt} may only appear as the bare leading term"
                 )

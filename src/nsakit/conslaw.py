@@ -5,21 +5,23 @@ Lagrangian L = v*F, every point symmetry (tau, xi, eta) yields a conserved
 vector
 
     C^t = tau*L + W * dL/du_t,
-    C^x = xi*L + sum_{k<n} D_x^k(W) * sum_{k<m<=n} (-1)^(m-k-1) D_x^(m-k-1) dL/du_mx,
+    C^x = xi*L + sum_{k<n} D_x^k(W) * B_k,
 
-with characteristic W = eta - tau*u_t - xi*u_x.  The raw components retain
-v and vanish in divergence against the pair (F, F*).  localize only
-substitutes v = phi(x, t, u), and verify_divergence certifies the result:
-it is conserved on F alone when phi passes nsa_check.  A density
-normalization step moves total x-derivatives from C^t into the flux,
-which is how recognizable densities (and trivial laws) emerge.
+with characteristic W = eta - tau*u_t - xi*u_x and brackets B_(n-1) =
+dL/du_nx, B_k = dL/du_(k+1)x - D_x B_(k+1), the alternating sums of
+D_x^(m-k-1) dL/du_mx over k < m <= n.  The raw components retain v and
+vanish in divergence against the pair (F, F*).  localize only substitutes
+v = phi(x, t, u), and verify_divergence certifies the result: it is
+conserved on F alone when phi passes nsa_check.  A density normalization
+step moves total x-derivatives from C^t into the flux, which is how
+recognizable densities (and trivial laws) emerge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .atoms import Jet, Log
 from .adjoint import Substitution, formal_lagrangian
@@ -58,25 +60,17 @@ class ConservedVector:
 def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
     """Raw conserved vector of the formal Lagrangian; v is retained."""
     lagrangian = formal_lagrangian(eq)
-    n = eq.order
     w = characteristic(sym)
     c0 = sym.tau * lagrangian + w * partial_jet(lagrangian, Jet("u", 1, 0))
     dw = derivative_table(w)
-    dl = {
-        m: derivative_table(partial_jet(lagrangian, Jet("u", 0, m)))
-        for m in range(1, n + 1)
-    }
-
-    def flux_pieces() -> Iterator[DiffExpr]:
-        yield sym.xi * lagrangian
-        for k in range(n):
-            derivs = (dl[m](0, m - k - 1) for m in range(k + 1, n + 1))
-            bracket = DiffExpr.sum(-d if i % 2 else d for i, d in enumerate(derivs))
-            if not bracket.is_zero:
-                yield dw(0, k) * bracket
-
-    c1 = DiffExpr.sum(flux_pieces())
-    return ConservedVector(c0, c1)
+    pieces = [sym.xi * lagrangian]
+    bracket = DiffExpr.zero()
+    for k in reversed(range(eq.order)):
+        dl = partial_jet(lagrangian, Jet("u", 0, k + 1))
+        bracket = dl - total_derivative(bracket, "x")
+        if not bracket.is_zero:
+            pieces.append(dw(0, k) * bracket)
+    return ConservedVector(c0, DiffExpr.sum(pieces))
 
 
 def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:
@@ -92,23 +86,15 @@ def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:
     )
 
 
-def _top_x_order(factors) -> int:
-    top = 0
-    for atom, _exp in factors:
-        if isinstance(atom, Jet) and atom.t_order == 0:
-            top = max(top, atom.x_order)
-    return top
+def _transfer_candidate(factors, coeff, k: int):
+    """Integration-by-parts step for one monomial at x-order k, or None.
 
-
-def _transfer_candidate(factors, coeff):
-    """Integration-by-parts step for one monomial, or None.
-
-    Handles terms linear in their highest pure x-derivative u_kx whose
-    remaining jet content stops at order k-1; the order k-1 power combines
-    by the power rule, with exponent -1 producing a logarithm.  Returns
-    h_piece = rest * integrated, where rest is the monomial without its
-    u_kx and u_(k-1)x factors; the monomial minus D_x(h_piece) is then
-    -D_x(rest) * integrated, which stops at order k-1.
+    Handles terms whose highest pure x-derivative is u_kx, linear in it,
+    and whose remaining jet content stops at order k-1; the order k-1
+    power combines by the power rule, with exponent -1 producing a
+    logarithm.  Returns h_piece = rest * integrated, where rest is the
+    monomial without its u_kx and u_(k-1)x factors; the monomial minus
+    D_x(h_piece) is then -D_x(rest) * integrated, which stops at order k-1.
     """
     jets_x = {}
     for atom, exp in factors:
@@ -116,30 +102,18 @@ def _transfer_candidate(factors, coeff):
             if atom.dep != "u" or atom.t_order:
                 return None
             jets_x[atom.x_order] = exp
-        if isinstance(atom, Log):
-            for inner in atom.arg.atoms():
-                if isinstance(inner, Jet) and inner.t_order:
-                    return None
-    k = max((o for o in jets_x if o >= 1), default=0)
-    if not k or jets_x[k] != 1:
+        # rest keeps every ln, so its jets must stop at order k-2 too
+        elif isinstance(atom, Log) and (
+            atom.arg.max_order() > k - 2
+            or any(j.t_order for j in atom.arg.jets())
+        ):
+            return None
+    if jets_x.get(k) != 1 or max(jets_x) != k:
         return None
     m = jets_x.get(k - 1, 0)
     top = Jet("u", 0, k)
     slot = Jet("u", 0, k - 1)
     kept = tuple(it for it in factors if it[0] != top and it[0] != slot)
-    # every other jet has x-order at most k-2: k is the highest, k-1 the slot
-    for atom, _exp in kept:
-        if isinstance(atom, Log):
-            inner_order = max(
-                (
-                    a.x_order
-                    for a in atom.arg.atoms()
-                    if isinstance(a, Jet)
-                ),
-                default=0,
-            )
-            if inner_order > k - 2:
-                return None
     if m == -1:
         integrated = ln(jet("u", 0, k - 1))
     else:
@@ -152,35 +126,35 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
 
     Finds h with C0 = A0 + D_x(h) and returns (A0, C1 + D_t(h)); the pair
     is then rescaled by -1 if needed so the leading monomial of A0 has a
-    positive coefficient.  Each step takes the term of highest pure
-    x-order that ``_transfer_candidate`` accepts and subtracts D_x of its
-    h_piece from the density.  The transfer h and the sign are folded into the
-    provenance, so against the vector first normalized sign*C0 - A0 =
-    D_x(transfer) and A1 - sign*C1 = D_t(transfer) hold exactly, also after
-    repeated normalization.  When no term is transferable the components
-    are returned unchanged.
+    positive coefficient.  Levels k run from the highest x-order down to
+    1; at each, D_x of the summed h_pieces of the terms that
+    ``_transfer_candidate`` accepts at k is subtracted once.  This adds
+    terms below k only (rest stops at order k-2, so D_x(rest) times
+    u_(k-1)^(m+1), or times ln(u_(k-1)), stays below k) and touches no
+    other level-k term, so the result is that of moving one term at a
+    time.  The transfer h and the sign are folded into the provenance, so
+    against the vector first normalized sign*C0 - A0 = D_x(transfer) and
+    A1 - sign*C1 = D_t(transfer) hold exactly, also after repeated
+    normalization.  When no term is transferable the components are
+    returned unchanged.
     """
     for atom in cv.c0.atoms():
         if isinstance(atom, Jet) and atom.dep == "v":
             raise UnsupportedInputError("normalize a localized (v-free) vector")
     work = cv.c0
-    h_pieces = []
-    seen = {work}
-    while True:
-        # stable on the canonical order of .terms, which breaks the ties
-        ordered = sorted(work.terms, key=lambda it: -_top_x_order(it[0]))
-        for factors, coeff in ordered:
-            h_piece = _transfer_candidate(factors, coeff)
-            if h_piece is not None:
-                break
-        else:
-            break
-        work = work - total_derivative(h_piece, "x")
-        h_pieces.append(h_piece)
-        if work in seen:
-            break
-        seen.add(work)
-    h = DiffExpr.sum(h_pieces)
+    transfers = []
+    # the highest jet order bounds the highest pure x-order
+    for level in range(work.max_order("u"), 0, -1):
+        pieces = [
+            h_piece
+            for factors, coeff in work.terms
+            if (h_piece := _transfer_candidate(factors, coeff, level)) is not None
+        ]
+        if pieces:
+            moved = DiffExpr.sum(pieces)
+            work = work - total_derivative(moved, "x")
+            transfers.append(moved)
+    h = DiffExpr.sum(transfers)
     a1 = cv.c1 + total_derivative(h, "t")
     sign = 1
     if work.leading_coeff() < 0:

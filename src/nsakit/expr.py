@@ -326,7 +326,11 @@ class DiffExpr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # a number hashes like the int or Fraction it equals, zero like 0
+        terms = self._terms
+        if len(terms) == 1 and not terms[0][0]:
+            return hash(terms[0][1])
+        return hash(terms) if terms else hash(0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -301,6 +301,19 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     assert err == "error: 1:27: expected one of tau, xi, eta\n"
 
 
+def test_t_derivative_inside_ln_is_refused(capsys, doc_path):
+    """u_t inside a ln is refused like any u_t outside the leading term."""
+    message = "error: 1:1: t-derivative u_t may only appear as the bare leading term\n"
+    for text in ("u_t + u*u_t = 0;\n", "u_t + u_x*ln(u_t) = 0;\n"):
+        path = doc_path(text)
+        for argv in (
+            ("adjoint", path),
+            ("conslaw", path, "--phi", "1", "--symmetry", "tau=0;xi=1;eta=0"),
+            ("check-symmetry", path, "--symmetry", "tau=t;xi=0;eta=0"),
+        ):
+            assert run(capsys, *argv) == (2, "", message), (text, argv[0])
+
+
 def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
     code, out, err = run(
         capsys, "adjoint", doc_path("u_t + q*u_x = 0;\n"), "--json"

@@ -1,8 +1,10 @@
 """Conserved vectors: construction, localization, normalization, checking."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from genexpr import A_FN, P as P_ATOM, U_T as U_T_ATOM, random_expr
 
 from nsakit import (
     ConservedVector,
@@ -11,19 +13,25 @@ from nsakit import (
     PointSymmetry,
     Substitution,
     adjoint_system,
+    characteristic,
     density_normalize,
+    formal_lagrangian,
     ibragimov_vector,
     is_trivial,
     ln,
     localize,
     parse_document,
     parse_expression,
+    partial_jet,
     prolonged_action,
     total_derivative,
     verify_divergence,
 )
-from nsakit.atoms import IndepVar, Jet
+from nsakit import conslaw
+from nsakit.atoms import IndepVar, Jet, Log
+from nsakit.calculus import derivative_table
 from nsakit.conslaw import is_trivial_normalized
+from nsakit.errors import NsaError, UnsupportedInputError
 
 T = DiffExpr.from_atom(IndepVar("t"))
 X = DiffExpr.from_atom(IndepVar("x"))
@@ -32,6 +40,7 @@ U_X = DiffExpr.from_atom(Jet("u", 0, 1))
 U_XX = DiffExpr.from_atom(Jet("u", 0, 2))
 U_XXX = DiffExpr.from_atom(Jet("u", 0, 3))
 V = DiffExpr.from_atom(Jet("v"))
+P = DiffExpr.from_atom(P_ATOM)
 
 
 def scaling_equation():
@@ -293,3 +302,177 @@ def test_flux_order_follows_the_equation():
     vec = density_normalize(localize(raw, Substitution(doc.substitutions[0])), eq)
     assert vec.c0 == Fraction(11, 2) * U**2
     assert verify_divergence(vec, eq).is_zero
+
+
+# Reference copies of the term-by-term versions that the bracket recurrence
+# and the level-by-level normalization replace; the tests below pin the
+# current functions to them.
+
+
+def _reference_flux(eq, sym):
+    """C^x as the alternating double sum over dL/du_mx, m = k+1..n."""
+    lagrangian = formal_lagrangian(eq)
+    n = eq.order
+    dw = derivative_table(characteristic(sym))
+    dl = {
+        m: derivative_table(partial_jet(lagrangian, Jet("u", 0, m)))
+        for m in range(1, n + 1)
+    }
+    pieces = [sym.xi * lagrangian]
+    for k in range(n):
+        bracket = DiffExpr.sum(
+            (-1) ** (m - k - 1) * dl[m](0, m - k - 1) for m in range(k + 1, n + 1)
+        )
+        pieces.append(dw(0, k) * bracket)
+    return DiffExpr.sum(pieces)
+
+
+def _reference_top_x_order(factors):
+    top = 0
+    for atom, _exp in factors:
+        if isinstance(atom, Jet) and atom.t_order == 0:
+            top = max(top, atom.x_order)
+    return top
+
+
+def _reference_transfer_candidate(factors, coeff):
+    jets_x = {}
+    for atom, exp in factors:
+        if isinstance(atom, Jet):
+            if atom.dep != "u" or atom.t_order:
+                return None
+            jets_x[atom.x_order] = exp
+        if isinstance(atom, Log):
+            for inner in atom.arg.atoms():
+                if isinstance(inner, Jet) and inner.t_order:
+                    return None
+    k = max((o for o in jets_x if o >= 1), default=0)
+    if not k or jets_x[k] != 1:
+        return None
+    m = jets_x.get(k - 1, 0)
+    top = Jet("u", 0, k)
+    slot = Jet("u", 0, k - 1)
+    kept = tuple(it for it in factors if it[0] != top and it[0] != slot)
+    for atom, _exp in kept:
+        if isinstance(atom, Log):
+            inner_order = max(
+                (a.x_order for a in atom.arg.atoms() if isinstance(a, Jet)),
+                default=0,
+            )
+            if inner_order > k - 2:
+                return None
+    if m == -1:
+        integrated = ln(DiffExpr.from_atom(slot))
+    else:
+        integrated = DiffExpr.from_atom(slot) ** (m + 1) * Fraction(1, m + 1)
+    rest = DiffExpr.number(coeff)
+    for atom, exp in kept:
+        rest = rest * DiffExpr.from_atom(atom, exp)
+    return rest * integrated
+
+
+def _reference_normalize(cv):
+    """One transfer per step, highest x-order first, until none applies or
+    the density repeats; returns (c0, c1, transfer, sign)."""
+    for atom in cv.c0.atoms():
+        if isinstance(atom, Jet) and atom.dep == "v":
+            raise UnsupportedInputError("normalize a localized (v-free) vector")
+    work = cv.c0
+    h_pieces = []
+    seen = {work}
+    while True:
+        ordered = sorted(work.terms, key=lambda it: -_reference_top_x_order(it[0]))
+        for factors, coeff in ordered:
+            h_piece = _reference_transfer_candidate(factors, coeff)
+            if h_piece is not None:
+                break
+        else:
+            break
+        work = work - total_derivative(h_piece, "x")
+        h_pieces.append(h_piece)
+        if work in seen:
+            break
+        seen.add(work)
+    h = DiffExpr.sum(h_pieces)
+    a1 = cv.c1 + total_derivative(h, "t")
+    sign = 1
+    if work.leading_coeff() < 0:
+        sign = -1
+        work, a1, h = -work, -a1, -h
+    return work, a1, sign * cv.provenance.transfer + h, sign * cv.provenance.sign
+
+
+def _outcome(normalize, cv):
+    try:
+        return normalize(cv)
+    except NsaError as exc:
+        return type(exc), str(exc)
+
+
+def _normalized(cv):
+    out = density_normalize(cv, scaling_equation())
+    return out.c0, out.c1, out.provenance.transfer, out.provenance.sign
+
+
+DENSITY_ATOMS = (
+    IndepVar("t"), IndepVar("x"), P_ATOM, A_FN, U_T_ATOM,
+    *(Jet("u", 0, k) for k in range(6)),
+)
+# ln of monomials, one with a t-derivative, and of a sum, whose D_x is
+# refused
+DENSITY_LOG_ARGS = (U, U_X, U_XX, 2 * U, DiffExpr.from_atom(U_T_ATOM), U + T)
+
+
+def test_level_normalization_matches_the_term_by_term_reference():
+    rng = random.Random(20121)
+    raised = 0
+    for i in range(2000):
+        c0 = random_expr(rng, DENSITY_ATOMS, 5, 4, 3, DENSITY_LOG_ARGS)
+        if i % 2:
+            # a total x-derivative gives several levels of transfers
+            h = random_expr(rng, DENSITY_ATOMS, 4, 3, 2, DENSITY_LOG_ARGS[:5])
+            c0 = c0 + total_derivative(h, "x")
+        c1 = random_expr(rng, DENSITY_ATOMS, 2, 2, 2, DENSITY_LOG_ARGS)
+        cv = ConservedVector(c0, c1)
+        want = _outcome(_reference_normalize, cv)
+        assert _outcome(_normalized, cv) == want, c0
+        raised += isinstance(want[0], type)
+    assert 0 < raised < 200  # both branches are exercised
+
+
+def test_one_total_x_derivative_per_level(monkeypatch):
+    # three terms accepted at x-order 2; what they leave has no acceptable
+    # term at x-order 1
+    c0 = U * U_XX + U**2 * U_XX + U_X * U_XX
+    eq = Equation(DiffExpr.from_atom(Jet("u", 1, 0)) + U_XXX)
+    expected = _reference_normalize(ConservedVector(c0, DiffExpr.zero()))
+    total = conslaw.total_derivative
+    directions = []
+
+    def counting(e, direction, order=1):
+        directions.append(direction)
+        return total(e, direction, order)
+
+    monkeypatch.setattr(conslaw, "total_derivative", counting)
+    norm = density_normalize(ConservedVector(c0, DiffExpr.zero()), eq)
+    assert directions.count("x") == 1
+    assert (norm.c0, norm.c1, norm.provenance.transfer, norm.provenance.sign) \
+        == expected
+    assert norm.c0 == U_X**2 + 2 * U * U_X**2
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_flux_recurrence_matches_the_alternating_double_sum(order):
+    top = DiffExpr.from_atom(Jet("u", 0, order))
+    below = DiffExpr.from_atom(Jet("u", 0, order - 1))
+    eq = Equation(
+        DiffExpr.from_atom(Jet("u", 1, 0))
+        + P * U * top + U_X * below**2 + T * U**2 * U_X
+    )
+    zero, one = DiffExpr.zero(), DiffExpr.one()
+    for sym in (
+        PointSymmetry(zero, one, zero),  # x-translation
+        PointSymmetry(one, zero, zero),  # t-translation
+        PointSymmetry(order * T, X, -U),  # scaling
+    ):
+        assert ibragimov_vector(eq, sym).c1 == _reference_flux(eq, sym), sym

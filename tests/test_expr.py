@@ -545,3 +545,16 @@ def test_canonical_coefficient_edge_cases():
     for inexact in (0.5, "1/3"):
         with pytest.raises(ExpressionError, match="must be exact"):
             DiffExpr.number(inexact)
+
+
+def test_numbers_hash_like_the_numbers_they_equal():
+    for value in (3, -1, Fraction(1, 2), Fraction(-7, 3)):
+        e = DiffExpr.number(value)
+        assert e == value and hash(e) == hash(value)
+        assert {e: "a"}.get(value) == "a"
+        assert {value: "a"}.get(e) == "a"
+    assert DiffExpr.zero() == 0 and hash(DiffExpr.zero()) == hash(0)
+    assert len({DiffExpr.zero(), 0}) == 1
+    assert len({DiffExpr.number(3), 3, Fraction(3)}) == 1
+    # a non-constant expression is still keyed by its terms
+    assert {U + 3: "a"}.get(3) is None
