@@ -27,6 +27,7 @@ from .calculus import (
     PointSymmetry,
     characteristic,
     euler,
+    formal_lagrangian,
     partial_coord,
     partial_jet,
     prolonged_action,
@@ -44,7 +45,6 @@ from .adjoint import (
     classify_substitution,
     determining_system,
     determining_system_detailed,
-    formal_lagrangian,
     nsa_check,
 )
 from .conslaw import (

@@ -20,15 +20,8 @@ from .calculus import (
     partial_coord,
     substitute_dependent,
 )
-from .errors import SubstitutionError, UnsupportedInputError
+from .errors import SubstitutionError
 from .expr import DiffExpr, equal, jet, primitive_normal, unknown
-
-
-def formal_lagrangian(eq: Equation) -> DiffExpr:
-    """L = v * lhs for a u-equation."""
-    if eq.dep != "u":
-        raise UnsupportedInputError("formal Lagrangian is defined for u-equations")
-    return jet("v") * eq.lhs
 
 
 def adjoint_equation(eq: Equation) -> DiffExpr:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .expr import DiffExpr, _accumulate_product, as_expr, jet
 
+_ZERO = DiffExpr.zero()
 _ONE = DiffExpr.one()
 _U = Jet("u")
 
@@ -154,18 +155,26 @@ def jet_partials(e: DiffExpr, dep: str) -> Iterator[tuple[Jet, DiffExpr]]:
             yield j, p
 
 
+def brackets(partials: dict[int, DiffExpr], direction: str) -> list[DiffExpr]:
+    """[A_0, ..., A_n] for {k: p_k} (a missing k is zero): A_n = p_n and
+    A_k = p_k - D(A_(k+1)), D the total derivative along ``direction``, so
+    A_k = sum_(j>=k) (-D)^(j-k) p_j at one derivative per level."""
+    top = max(partials, default=0)
+    out = [partials.get(top, _ZERO)]
+    for k in reversed(range(top)):
+        out.append(partials.get(k, _ZERO) - total_derivative(out[-1], direction))
+    return out[::-1]
+
+
 def euler(e: DiffExpr, dep: str = "u") -> DiffExpr:
-    """Variational derivative delta e / delta dep.
-
-    Sum over every jet coordinate of ``dep`` present (each mixed jet once):
-    (-1)^(m+k) D_t^m D_x^k (de/du_{t^m x^k}), including the order-zero term.
-    """
-
-    def term(j: Jet, p: DiffExpr) -> DiffExpr:
-        p = total_derivative(total_derivative(p, "t", j.t_order), "x", j.x_order)
-        return -p if j.order() % 2 else p
-
-    return DiffExpr.sum(term(j, p) for j, p in jet_partials(e, dep))
+    """Variational derivative delta e / delta dep: the sum over every jet of
+    ``dep`` present, dep included, of (-1)^(m+k) D_t^m D_x^k de/du_{t^m x^k},
+    taken row by row: the x-bracket A_0 of each t-order's partials, then
+    the t-bracket A_0 of those rows."""
+    rows: dict[int, dict[int, DiffExpr]] = {}
+    for j, p in jet_partials(e, dep):
+        rows.setdefault(j.t_order, {})[j.x_order] = p
+    return brackets({m: brackets(row, "x")[0] for m, row in rows.items()}, "t")[0]
 
 
 def substitute_dependent(e: DiffExpr, dep: str, phi: DiffExpr) -> DiffExpr:
@@ -241,15 +250,10 @@ class Equation:
 
     @cached_property
     def adjoint(self) -> DiffExpr:
-        """F* = delta(v*lhs)/delta u of a u-equation, computed once per
-        Equation value.
-
-        Stored outside the dataclass fields, so equality and hashing are
-        unaffected.
-        """
-        if self.dep != "u":
-            raise UnsupportedInputError("formal Lagrangian is defined for u-equations")
-        return euler(jet("v") * self.lhs, "u")
+        """F* = delta L / delta u of the formal Lagrangian, computed once per
+        Equation value and stored outside the dataclass fields, so equality
+        and hashing are unaffected."""
+        return euler(formal_lagrangian(self), "u")
 
     @property
     def solved_rhs(self) -> DiffExpr:
@@ -262,6 +266,13 @@ class Equation:
 
     def __str__(self) -> str:
         return f"{self.lhs} = 0"
+
+
+def formal_lagrangian(eq: Equation) -> DiffExpr:
+    """L = v * lhs for a u-equation."""
+    if eq.dep != "u":
+        raise UnsupportedInputError("formal Lagrangian is defined for u-equations")
+    return jet("v") * eq.lhs
 
 
 _SYMMETRY_COMPONENTS = ("tau", "xi", "eta")

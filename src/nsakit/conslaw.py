@@ -7,9 +7,10 @@ vector
     C^t = tau*L + W * dL/du_t,
     C^x = xi*L + sum_{k<n} D_x^k(W) * B_k,
 
-with characteristic W = eta - tau*u_t - xi*u_x and brackets B_(n-1) =
-dL/du_nx, B_k = dL/du_(k+1)x - D_x B_(k+1), the alternating sums of
-D_x^(m-k-1) dL/du_mx over k < m <= n.  The raw components retain v and
+with characteristic W = eta - tau*u_t - xi*u_x and brackets B_k, the
+alternating sums of D_x^(m-k-1) dL/du_mx over k < m <= n, which
+calculus.brackets builds as B_k = dL/du_(k+1)x - D_x B_(k+1) from the
+top bracket B_(n-1) = dL/du_nx.  The raw components retain v and
 vanish in divergence against the pair (F, F*).  localize only substitutes
 v = phi(x, t, u), and verify_divergence certifies the result: it is
 conserved on F alone when phi passes nsa_check.  A density normalization
@@ -24,12 +25,14 @@ from fractions import Fraction
 from typing import Union
 
 from .atoms import Jet, Log
-from .adjoint import Substitution, formal_lagrangian
+from .adjoint import Substitution
 from .calculus import (
     Equation,
     PointSymmetry,
+    brackets,
     characteristic,
     derivative_table,
+    formal_lagrangian,
     partial_jet,
     reduce_mod,
     substitute_dependent,
@@ -62,15 +65,10 @@ def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
     lagrangian = formal_lagrangian(eq)
     w = characteristic(sym)
     c0 = sym.tau * lagrangian + w * partial_jet(lagrangian, Jet("u", 1, 0))
+    row = {k: partial_jet(lagrangian, Jet("u", 0, k + 1)) for k in range(eq.order)}
     dw = derivative_table(w)
-    pieces = [sym.xi * lagrangian]
-    bracket = DiffExpr.zero()
-    for k in reversed(range(eq.order)):
-        dl = partial_jet(lagrangian, Jet("u", 0, k + 1))
-        bracket = dl - total_derivative(bracket, "x")
-        if not bracket.is_zero:
-            pieces.append(dw(0, k) * bracket)
-    return ConservedVector(c0, DiffExpr.sum(pieces))
+    pieces = [dw(0, k) * b for k, b in enumerate(brackets(row, "x")) if b]
+    return ConservedVector(c0, DiffExpr.sum([sym.xi * lagrangian, *pieces]))
 
 
 def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:

@@ -30,7 +30,7 @@ class ExpressionError(NsaError):
     """Invalid algebraic construction (non-integer power, division by a sum, ...)."""
 
 
-class CollectError(NsaError):
+class CollectError(UnsupportedInputError):
     """collect() was asked to select atoms that occur non-polynomially."""
 
 

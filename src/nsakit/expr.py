@@ -62,9 +62,7 @@ def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
 class DiffExpr:
     """Normalized sum of monomials; supports +, -, *, /, ** and unary -."""
 
-    # _key memoizes sort_key(): the value is immutable, and a ruled CoeffFn
-    # or a Log compares its rule or argument through __lt__
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms",)
 
     def __init__(self):
         raise ExpressionError("use the factory classmethods or arithmetic")
@@ -75,7 +73,6 @@ class DiffExpr:
     def _raw(cls, terms: tuple) -> "DiffExpr":
         e = object.__new__(cls)
         e._terms = terms
-        e._key = None
         return e
 
     @classmethod
@@ -162,11 +159,7 @@ class DiffExpr:
         return max((j.order() for j in self.jets(dep)), default=0)
 
     def sort_key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(
-                (f, (c.numerator, c.denominator)) for f, c in self._terms
-            )
-        return self._key
+        return tuple((f, (c.numerator, c.denominator)) for f, c in self._terms)
 
     def __lt__(self, other: "DiffExpr") -> bool:
         return self.sort_key() < other.sort_key()

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from genexpr import (
     A_FN,
+    A_INT,
     CALCULUS_ATOMS,
     DIFFERENTIABLE_LOG_ARGS,
+    ROUNDTRIP_LOG_ARGS,
     random_expr,
 )
 
@@ -18,6 +20,7 @@ from nsakit import (
     adjoint_system,
     characteristic,
     euler,
+    formal_lagrangian,
     ibragimov_vector,
     ln,
     parse_document,
@@ -35,6 +38,7 @@ from nsakit.calculus import partial_coord, partial_jet
 from nsakit.errors import (
     EquationFormError,
     ExpressionError,
+    NsaError,
     SubstitutionError,
     UnsupportedInputError,
 )
@@ -209,6 +213,77 @@ def test_euler_annihilates_total_derivatives():
     for direction in ("t", "x"):
         e = total_derivative(U**3 * U_X + T * ln(U), direction)
         assert euler(e).is_zero
+
+
+def _reference_euler(e, dep="u"):
+    """The double sum term by term: (-1)^(m+k) D_t^m D_x^k of each partial."""
+
+    def term(j, p):
+        p = total_derivative(total_derivative(p, "t", j.t_order), "x", j.x_order)
+        return -p if j.order() % 2 else p
+
+    return DiffExpr.sum(term(j, p) for j, p in calculus.jet_partials(e, dep))
+
+
+def _euler_outcome(f, e, dep):
+    try:
+        value = f(e, dep)
+    except NsaError as exc:
+        return type(exc), str(exc)
+    return value, str(value)
+
+
+EULER_ATOMS = CALCULUS_ATOMS + (
+    A_INT,
+    Jet("u", 1, 0), Jet("u", 2, 1), Jet("u", 1, 2), Jet("u", 0, 7),
+    Jet("u", 1, 6), Jet("v"), Jet("v", 0, 1), Jet("v", 0, 7),
+)
+
+
+def test_euler_matches_the_term_by_term_double_sum():
+    rng = random.Random(2011)
+    log_args = ROUNDTRIP_LOG_ARGS + (DiffExpr.from_atom(Jet("v", 0, 1)),)
+    raised = set()
+    for i in range(2000):
+        e = random_expr(rng, EULER_ATOMS, 4, 3, 3, log_args)
+        dep = "uv"[i % 2]
+        want = _euler_outcome(_reference_euler, e, dep)
+        got = _euler_outcome(euler, e, dep)
+        if got != want:
+            # ln of a sum has no derivative, and the brackets differentiate
+            # the highest orders first, so an order-cap refusal may come
+            # before that one; both sides still refuse
+            assert any(
+                isinstance(a, Log) and len(a.arg.terms) > 1 for a in e.atoms()
+            ), (str(e), dep)
+            assert isinstance(got[0], type) and isinstance(want[0], type), str(e)
+        if isinstance(want[0], type):
+            raised.add(want)
+    assert {message for _, message in raised} == {
+        "jet of u exceeds the order cap 12",
+        "jet of v exceeds the order cap 12",
+        "only single-monomial expressions are invertible",
+    }
+
+
+def test_euler_takes_one_derivative_per_level(monkeypatch):
+    eq = parse_document(
+        "u_t + u_xxxxx + u*u_xxx + u_x*u_xx + u^2*u_x = 0;"
+    ).equations[0]
+    lagrangian = formal_lagrangian(eq)
+    expected = _reference_euler(lagrangian)
+    total = calculus.total_derivative
+    passes = {"t": 0, "x": 0}
+
+    def counting(e, direction, order=1):
+        if not e.is_zero:
+            passes[direction] += order
+        return total(e, direction, order)
+
+    monkeypatch.setattr(calculus, "total_derivative", counting)
+    assert euler(lagrangian) == expected
+    # five D_x down the row of t-order 0, one D_t across the two rows
+    assert passes == {"t": 1, "x": 5}
 
 
 def test_substitute_dependent():

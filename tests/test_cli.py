@@ -357,6 +357,12 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
         "tau = 0; xi = 1; eta = 0",
     )
     assert (code, out, err) == (3, "", f"error: {cap}\n")
+    # a determining system not polynomial in the jets cannot be collected
+    for text in ("u_t + u_x^-1 = 0;\n", "u_t + ln(u_x)*u_xxx = 0;\n"):
+        code, out, err = run(capsys, "determining", doc_path(text))
+        assert (code, out, err) == (
+            3, "", "error: u_x occurs with negative exponent\n"
+        ), text
     long_sum = "u_t + " + "9" * 4300 + "*u_x + u_x = 0;\n"
     code, out, err = run(capsys, "fmt", doc_path(long_sum))
     assert (code, out) == (3, "")
