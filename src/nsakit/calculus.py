@@ -34,14 +34,19 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
 
     ``atom_rule`` returns the derivative of a single atom (None meaning
     zero).  The power rule handles integer exponents of either sign, and
-    ln(g) differentiates to D(g) * g^-1 under the same rule.  Every
-    monomial exp*coeff*rest*D(atom) goes into one dict, normalized once.
+    ln(g) differentiates to D(g) * g^-1 under the same rule, which needs g
+    to be a single monomial unless D(g) is zero.  Every monomial
+    exp*coeff*rest*D(atom) goes into one dict, normalized once.
     """
     data: dict = {}
     for factors, coeff in e.terms:
         for i, (atom, exp) in enumerate(factors):
             if isinstance(atom, Log):
                 darg = _leibniz(atom.arg, atom_rule)
+                if darg and len(atom.arg.terms) > 1:
+                    raise UnsupportedInputError(
+                        f"cannot differentiate {atom}: its argument is a sum"
+                    )
                 da = None if darg.is_zero else darg * atom.arg**-1
             else:
                 da = atom_rule(atom)

@@ -3,7 +3,7 @@
 Every command reads a ``.nsa`` document, prints a deterministic report
 (plain ``key: value`` lines, or JSON with ``--json``) and exits with
 0 = success or verified, 1 = check refuted, 2 = parse or declaration
-error, 3 = unsupported input.
+error, 3 = unsupported input.  Warnings go to stderr as ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .adjoint import (
@@ -288,12 +289,17 @@ def _report_error(args, message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except UnsupportedInputError as exc:
-        return _report_error(args, str(exc), 3)
-    except NsaError as exc:
-        return _report_error(args, str(exc), 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except UnsupportedInputError as exc:
+            code = _report_error(args, str(exc), 3)
+        except NsaError as exc:
+            code = _report_error(args, str(exc), 2)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

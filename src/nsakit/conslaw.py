@@ -14,8 +14,10 @@ top bracket B_(n-1) = dL/du_nx.  The raw components retain v and
 vanish in divergence against the pair (F, F*).  localize only substitutes
 v = phi(x, t, u), and verify_divergence certifies the result: it is
 conserved on F alone when phi passes nsa_check.  A density normalization
-step moves total x-derivatives from C^t into the flux, which is how
-recognizable densities (and trivial laws) emerge.
+step moves total x-derivatives from C^t into the flux.  is_trivial needs
+no such step: a v-free density is a total x-derivative exactly when its
+Euler operator vanishes (Olver, Applications of Lie Groups to
+Differential Equations, ch. 4).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .calculus import (
     brackets,
     characteristic,
     derivative_table,
+    euler,
     formal_lagrangian,
     partial_jet,
     reduce_mod,
@@ -136,9 +139,8 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
     normalization.  When no term is transferable the components are
     returned unchanged.
     """
-    for atom in cv.c0.atoms():
-        if isinstance(atom, Jet) and atom.dep == "v":
-            raise UnsupportedInputError("normalize a localized (v-free) vector")
+    if cv.c0.jets("v"):
+        raise UnsupportedInputError("normalize a localized (v-free) vector")
     work = cv.c0
     transfers = []
     # the highest jet order bounds the highest pure x-order
@@ -171,14 +173,9 @@ def verify_divergence(cv: ConservedVector, eqs: Union[Equation, list]) -> DiffEx
 
 
 def is_trivial(cv: ConservedVector, eq: Equation) -> bool:
-    """True when the normalized density vanishes and the flux is x-constant
-    on solutions."""
-    return is_trivial_normalized(density_normalize(cv, eq), eq)
-
-
-def is_trivial_normalized(normalized: ConservedVector, eq: Equation) -> bool:
-    """is_trivial for a vector that density_normalize already returned."""
-    if not reduce_mod(normalized.c0, eq).is_zero:
-        return False
-    flux_div = total_derivative(normalized.c1, "x")
-    return reduce_mod(flux_div, eq).is_zero
+    """True when euler(C0) = 0 and D_t C0 + D_x C1 = 0 modulo F, that is when
+    C0 = D_x(h) on solutions (Olver, Applications of Lie Groups to
+    Differential Equations, ch. 4) and C1 + D_t(h) is constant in x."""
+    if cv.c0.jets("v"):
+        raise UnsupportedInputError("decide triviality of a localized (v-free) vector")
+    return euler(reduce_mod(cv.c0, eq)).is_zero and verify_divergence(cv, eq).is_zero

@@ -37,7 +37,6 @@ from nsakit.catalog import load_fixture
 from nsakit.calculus import partial_coord, partial_jet
 from nsakit.errors import (
     EquationFormError,
-    ExpressionError,
     NsaError,
     SubstitutionError,
     UnsupportedInputError,
@@ -177,7 +176,7 @@ def test_derivations_match_the_per_piece_formula(monkeypatch):
 def test_total_derivative_of_logarithms():
     assert total_derivative(ln(U), "x") == U_X / U
     assert total_derivative(ln(2 * U), "t") == U_T / U
-    with pytest.raises(ExpressionError):
+    with pytest.raises(UnsupportedInputError, match=r"ln\(t \+ u\)"):
         total_derivative(ln(U + T), "x")
 
 
@@ -196,7 +195,7 @@ def test_partial_derivatives():
     # it is a sum and so has no inverse
     assert partial_coord(U * ln(U + X), "t").is_zero
     assert partial_jet(U_X * ln(X + T), Jet("u", 0, 1)) == ln(X + T)
-    with pytest.raises(ExpressionError):
+    with pytest.raises(UnsupportedInputError, match=r"ln\(t \+ x\)"):
         partial_coord(T * ln(X + T), "t")
 
 
@@ -262,7 +261,7 @@ def test_euler_matches_the_term_by_term_double_sum():
     assert {message for _, message in raised} == {
         "jet of u exceeds the order cap 12",
         "jet of v exceeds the order cap 12",
-        "only single-monomial expressions are invertible",
+        "cannot differentiate ln(t + u): its argument is a sum",
     }
 
 

@@ -111,6 +111,41 @@ def test_each_vector_is_normalized_once(monkeypatch):
     assert len(calls) == 17
 
 
+def _count_catalog_calls(monkeypatch, module, name):
+    """Calls of module.name, through every nsakit module holding it, over
+    one verify_entry pass of all entries."""
+    from nsakit import adjoint, catalog, conslaw
+
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for holder in (module, adjoint, catalog, conslaw):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counting)
+    for entry in catalog_entries():
+        assert verify_entry(entry.id).ok
+    return len(calls)
+
+
+def test_triviality_is_decided_three_times(monkeypatch):
+    """W32a's two trivial substitutions and W33's trivial instance."""
+    from nsakit import conslaw
+
+    assert _count_catalog_calls(monkeypatch, conslaw, "is_trivial") == 3
+
+
+def test_classification_comes_from_the_nsa_report(monkeypatch):
+    """verify_entry reads nsa_check's classification instead of
+    recomputing phi_x, phi_t and phi_u."""
+    from nsakit import calculus
+
+    assert _count_catalog_calls(monkeypatch, calculus, "partial_coord") == 57
+
+
 def test_reported_residual_is_set_exactly_for_conserved_blocks():
     for entry in catalog_entries():
         has_block = bool(load_fixture(entry.fixture).conserved)

@@ -357,6 +357,22 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
         "tau = 0; xi = 1; eta = 0",
     )
     assert (code, out, err) == (3, "", f"error: {cap}\n")
+    # ln of a sum has no derivative: its chain rule needs arg^-1
+    sym_doc = doc_path(
+        "u_t + u*u_xxx = 0;\nsymmetry s { tau = 0; xi = 1; eta = 0; }\n",
+        "sym.nsa",
+    )
+    for argv, ln_text in (
+        (("adjoint", doc_path("u_t + ln(x+t)*u_x^2 = 0;\n")), "ln(t + x)"),
+        (("conslaw", sym_doc, "--symmetry", "s", "--phi", "ln(x+1)"),
+         "ln(1 + x)"),
+        (("check-symmetry", sym_doc, "--symmetry",
+          "tau = ln(x+t); xi = 0; eta = 0"), "ln(t + x)"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            3, "", f"error: cannot differentiate {ln_text}: its argument is a sum\n"
+        ), argv
     # a determining system not polynomial in the jets cannot be collected
     for text in ("u_t + u_x^-1 = 0;\n", "u_t + ln(u_x)*u_xxx = 0;\n"):
         code, out, err = run(capsys, "determining", doc_path(text))
@@ -367,6 +383,19 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
     code, out, err = run(capsys, "fmt", doc_path(long_sum))
     assert (code, out) == (3, "")
     assert err == "error: result has a number of more than 4300 digits\n"
+
+
+def test_warnings_are_printed_as_warning_lines(capsys, doc_path):
+    """A parser warning is one stderr line; stdout is as without it."""
+    path = doc_path("u_t + u*u_xxx = 0; conserved { c0 = u_xt; c1 = 0; }\n")
+    warning = "warning: jet subscript u_xt reordered to u_tx\n"
+    code, out, err = run(capsys, "fmt", path)
+    assert (code, out, err) == (
+        0, "u*u_xxx + u_t = 0;\nconserved { c0 = u_tx; c1 = 0; }\n", warning
+    )
+    code, out, err = run(capsys, "fmt", path, "--json")
+    assert (code, err) == (0, warning)
+    assert json.loads(out)["formatted"].endswith("{ c0 = u_tx; c1 = 0; }\n")
 
 
 def test_conslaw_beyond_fifth_order(capsys, doc_path):

@@ -24,13 +24,13 @@ from nsakit import (
     parse_expression,
     partial_jet,
     prolonged_action,
+    reduce_mod,
     total_derivative,
     verify_divergence,
 )
 from nsakit import conslaw
 from nsakit.atoms import IndepVar, Jet, Log
 from nsakit.calculus import derivative_table
-from nsakit.conslaw import is_trivial_normalized
 from nsakit.errors import NsaError, UnsupportedInputError
 
 T = DiffExpr.from_atom(IndepVar("t"))
@@ -209,8 +209,7 @@ def test_is_trivial():
         total_derivative(h, "x"), -total_derivative(h, "t")
     )
     assert is_trivial(cv, eq)
-    assert is_trivial_normalized(density_normalize(cv, eq), eq)
-    assert not is_trivial_normalized(cv, eq)  # the density is not yet moved
+    assert is_trivial(density_normalize(cv, eq), eq)
     real = density_normalize(
         localize(
             ibragimov_vector(
@@ -221,7 +220,6 @@ def test_is_trivial():
         scaling_equation(),
     )
     assert not is_trivial(real, scaling_equation())
-    assert not is_trivial_normalized(real, scaling_equation())
 
 
 @pytest.mark.parametrize(
@@ -476,3 +474,66 @@ def test_flux_recurrence_matches_the_alternating_double_sum(order):
         PointSymmetry(order * T, X, -U),  # scaling
     ):
         assert ibragimov_vector(eq, sym).c1 == _reference_flux(eq, sym), sym
+
+
+# is_trivial decides by euler(C0) = 0 and a zero divergence; the reference
+# below is the normalization-based decision it replaces.
+
+THIRD_ORDER = Equation(DiffExpr.from_atom(U_T_ATOM) + U * U_XXX)
+# u is conserved on THIRD_ORDER, with this flux, but is no total x-derivative
+U_FLUX = U * U_XX - Fraction(1, 2) * U_X**2
+
+
+def _reference_is_trivial(cv, eq):
+    normalized = density_normalize(cv, eq)
+    if not reduce_mod(normalized.c0, eq).is_zero:
+        return False
+    return reduce_mod(total_derivative(normalized.c1, "x"), eq).is_zero
+
+
+def _exact(h, flux_shift=0):
+    return ConservedVector(
+        total_derivative(h, "x"), flux_shift - total_derivative(h, "t")
+    )
+
+
+def test_is_trivial_is_exact_where_normalization_stops():
+    # u_xx*ln(u_x) fails the ln-order test of the normalization, which
+    # leaves it in the density, yet it is D_x(u_x*ln(u_x)) - u_xx
+    cv = _exact(U_X * ln(U_X))
+    assert density_normalize(cv, THIRD_ORDER).c0 == U_XX * ln(U_X)
+    assert not _reference_is_trivial(cv, THIRD_ORDER)
+    assert is_trivial(cv, THIRD_ORDER)
+    for h in (U * U_X, U_X * ln(U), U**-1 * U_X**2, ln(U_X)):
+        assert _reference_is_trivial(_exact(h), THIRD_ORDER), h
+        assert is_trivial(_exact(h), THIRD_ORDER), h
+
+
+def test_is_trivial_accepts_every_vector_the_reference_accepts():
+    rng = random.Random(2007)
+    exact_only = 0
+    for _ in range(1000):
+        h = random_expr(rng, DENSITY_ATOMS, 4, 3, 2, DENSITY_LOG_ARGS[:5])
+        # an x-constant flux term keeps the vector trivial
+        shift = random_expr(rng, (IndepVar("t"), P_ATOM, A_FN), 2, 2, 2, ())
+        exact = _exact(h, shift)
+        assert is_trivial(exact, THIRD_ORDER), h
+        exact_only += not _reference_is_trivial(exact, THIRD_ORDER)
+        # conserved, but u is no total x-derivative
+        other = ConservedVector(exact.c0 + U, exact.c1 + U_FLUX)
+        assert verify_divergence(other, THIRD_ORDER).is_zero
+        assert not is_trivial(other, THIRD_ORDER), h
+        assert not _reference_is_trivial(other, THIRD_ORDER), h
+    # the normalization leaves some exact densities behind
+    assert 0 < exact_only < 500
+
+
+def test_is_trivial_requires_conservation():
+    cv = _exact(U * U_X)
+    wrong = ConservedVector(cv.c0, cv.c1 + X * U)
+    assert not is_trivial(wrong, THIRD_ORDER)
+
+
+def test_is_trivial_refuses_v():
+    with pytest.raises(UnsupportedInputError, match="v-free"):
+        is_trivial(ConservedVector(V * U_X, DiffExpr.zero()), THIRD_ORDER)
