@@ -220,44 +220,38 @@ def verify_entry(entry_id: str) -> EntryReport:
     def claim(name: str, passed: bool, detail: str = "") -> None:
         claims.append(ClaimResult(name, bool(passed), detail))
 
+    def expr(text: str):
+        return parse_expression(text, decls)
+
+    def classified(prefix: str, got, want: Classification) -> None:
+        claim(f"{prefix}classification is {want.value}", got == want,
+              f"got {got.value if got else 'none'}")
+
+    def trivial(name: str, raw, phi: Substitution, on: Equation) -> None:
+        vec = density_normalize(localize(raw, phi), on)
+        claim(f"{name} yields a trivial vector", is_trivial(vec, on),
+              f"(C0, C1) = ({vec.c0}, {vec.c1})")
+
     report = nsa_check(eq, sub)
-    claim(
-        "self-adjointness holds",
-        report.holds,
-        "residual 0" if report.holds else f"residual {report.residual}",
-    )
-    got = report.classification
-    claim(
-        f"classification is {entry.classification.value}",
-        got == entry.classification,
-        f"got {got.value if got else 'none'}",
-    )
+    claim("self-adjointness holds", report.holds, f"residual {report.residual}")
+    classified("", report.classification, entry.classification)
 
     for values, expected in entry.special_cases:
         special = Substitution(substitute_symbols(sub.phi, dict(values)))
-        special_got = nsa_check(
-            Equation(substitute_symbols(eq.lhs, dict(values)), eq.dep), special
-        ).classification
+        special_eq = Equation(substitute_symbols(eq.lhs, dict(values)), eq.dep)
         label = "; ".join(f"{k} = {v}" for k, v in values)
-        claim(
-            f"at {label}: classification is {expected.value}",
-            special_got == expected,
-            f"got {special_got.value if special_got else 'none'}",
-        )
+        classified(f"at {label}: ", nsa_check(special_eq, special).classification,
+                   expected)
 
     for phi_text, residual_text in entry.refuted_substitutions:
-        bad = Substitution(parse_expression(phi_text, decls))
-        bad_report = nsa_check(eq, bad)
-        expected_residual = parse_expression(residual_text, decls)
-        matches = (not bad_report.holds) and bad_report.residual == expected_residual
-        if matches:
-            matches = not substitute_symbols(
-                bad_report.residual, dict(entry.witness)
-            ).is_zero
+        bad_report = nsa_check(eq, Substitution(expr(phi_text)))
+        residual = bad_report.residual
         claim(
             f"substitution {phi_text} refuted",
-            matches,
-            f"residual {bad_report.residual}",
+            not bad_report.holds
+            and residual == expr(residual_text)
+            and not substitute_symbols(residual, dict(entry.witness)).is_zero,
+            f"residual {residual}",
         )
 
     for sym in doc.symmetries:
@@ -266,20 +260,17 @@ def verify_entry(entry_id: str) -> EntryReport:
         claim(f"symmetry {label} verified", action.is_zero, f"residual {action}")
 
     for sym_text in entry.refuted_symmetries:
-        bad_sym = parse_symmetry(sym_text, decls)
-        action = prolonged_action(bad_sym, eq)
+        action = prolonged_action(parse_symmetry(sym_text, decls), eq)
         claim(f"symmetry {sym_text!r} refuted", not action.is_zero)
 
     if doc.symmetries:
-        sym = doc.symmetries[0]
-        raw = ibragimov_vector(eq, sym)
+        raw = ibragimov_vector(eq, doc.symmetries[0])
         _, adj = adjoint_system(eq)
         raw_div = verify_divergence(raw, (eq, adj))
         claim("raw vector divergence vanishes on the system", raw_div.is_zero,
               "" if raw_div.is_zero else f"residual {raw_div}")
 
-        localized = localize(raw, sub)
-        normalized = density_normalize(localized, eq)
+        normalized = density_normalize(localize(raw, sub), eq)
         residual = verify_divergence(normalized, (eq,))
         claim(
             "normalized vector verified",
@@ -290,8 +281,7 @@ def verify_entry(entry_id: str) -> EntryReport:
         )
 
         if entry.verified_vector is not None:
-            want_c0 = parse_expression(entry.verified_vector[0], decls)
-            want_c1 = parse_expression(entry.verified_vector[1], decls)
+            want_c0, want_c1 = map(expr, entry.verified_vector)
             claim(
                 "vector matches the verified components",
                 normalized.c0 == want_c0 and normalized.c1 == want_c1,
@@ -301,7 +291,7 @@ def verify_entry(entry_id: str) -> EntryReport:
         for stmt in doc.conserved:
             reported = verify_divergence(stmt, (eq,))
             text = entry.reported_residual
-            expected = None if text is None else parse_expression(text, decls)
+            expected = None if text is None else expr(text)
             if expected == 0:
                 claim(
                     "reported vector passes the divergence check",
@@ -317,25 +307,14 @@ def verify_entry(entry_id: str) -> EntryReport:
                 )
 
         for phi_text in entry.trivial_substitutions:
-            other = Substitution(parse_expression(phi_text, decls))
-            vec = density_normalize(localize(raw, other), eq)
-            claim(
-                f"substitution {phi_text} yields a trivial vector",
-                is_trivial(vec, eq),
-                f"(C0, C1) = ({vec.c0}, {vec.c1})",
-            )
+            trivial(f"substitution {phi_text}", raw,
+                    Substitution(expr(phi_text)), eq)
 
     if entry.trivial_instance:
         inst = load_fixture(entry.trivial_instance)
         inst_eq = inst.equations[0]
-        inst_sub = Substitution(inst.substitutions[0])
-        inst_raw = ibragimov_vector(inst_eq, inst.symmetries[0])
-        inst_vec = density_normalize(localize(inst_raw, inst_sub), inst_eq)
-        claim(
-            f"instance {entry.trivial_instance} yields a trivial vector",
-            is_trivial(inst_vec, inst_eq),
-            f"(C0, C1) = ({inst_vec.c0}, {inst_vec.c1})",
-        )
+        trivial(f"instance {entry.trivial_instance}",
+                ibragimov_vector(inst_eq, inst.symmetries[0]),
+                Substitution(inst.substitutions[0]), inst_eq)
 
     return EntryReport(entry.id, tuple(claims))
-

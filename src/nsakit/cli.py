@@ -4,6 +4,13 @@ Every command reads a ``.nsa`` document, prints a deterministic report
 (plain ``key: value`` lines, or JSON with ``--json``) and exits with
 0 = success or verified, 1 = check refuted, 2 = parse or declaration
 error, 3 = unsupported input.  Warnings go to stderr as ``warning:`` lines.
+
+A command is one row of ``_COMMANDS`` and one handler.  The handler takes
+``(args, doc)``, where ``doc`` is the parsed ``file`` argument (None for
+a command without one), and returns ``(exit code, fields, text)``:
+``fields`` is the report that ``--json`` prints, and ``text`` its plain
+form, or None for the shared ``key: value`` lines.  Handlers neither load
+nor print; :func:`main` loads, prints and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from .adjoint import (
@@ -70,134 +78,123 @@ def _symmetry(doc: SourceDocument, text: str) -> PointSymmetry:
     return doc.symmetry(text)
 
 
-def _emit(args, fields: dict) -> None:
-    if args.json:
-        print(json.dumps(fields, indent=2))
-        return
+def _verdict(ok: bool) -> str:
+    return "verified" if ok else "refuted"
+
+
+def _key_values(fields: dict) -> str:
+    lines = []
     for key, value in fields.items():
         if isinstance(value, list):
-            print(f"{key}: {len(value)}")
-            for item in value:
-                print(f"  {item}")
+            lines.append(f"{key}: {len(value)}")
+            lines.extend(f"  {item}" for item in value)
         else:
-            print(f"{key}: {value}")
+            lines.append(f"{key}: {value}")
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_adjoint(args) -> int:
-    doc = _load(args.file)
+def _cmd_adjoint(args, doc):
     fstar = adjoint_equation(_equation(doc))
-    _emit(args, {"status": "computed", "adjoint": f"{fstar} = 0"})
-    return 0
+    return 0, {"status": "computed", "adjoint": f"{fstar} = 0"}, None
 
 
-def _cmd_check_nsa(args) -> int:
-    doc = _load(args.file)
-    eq = _equation(doc)
-    sub = _substitution(doc, args.phi)
-    report = nsa_check(eq, sub)
+def _cmd_check_nsa(args, doc):
+    report = nsa_check(_equation(doc), _substitution(doc, args.phi))
+    got = report.classification
     fields = {
-        "status": "verified" if report.holds else "refuted",
+        "status": _verdict(report.holds),
         "lambda": str(report.multiplier),
         "residual": str(report.residual),
-        "classification": report.classification.value
-        if report.classification
-        else "none",
+        "classification": got.value if got else "none",
     }
     if report.nonzero_partials:
         fields["nonzero_partials"] = ", ".join(report.nonzero_partials)
-    _emit(args, fields)
-    return 0 if report.holds else 1
+    return (0 if report.holds else 1), fields, None
 
 
-def _cmd_determining(args) -> int:
-    doc = _load(args.file)
+def _cmd_determining(args, doc):
     eqs = determining_system(_equation(doc))
     lam = -DiffExpr.from_atom(UnknownFn("phi", 0, 0, 1))
-    _emit(
-        args,
-        {
-            "status": "computed",
-            "lambda": str(lam),
-            "equations": [f"{e} = 0" for e in eqs],
-        },
-    )
-    return 0
+    equations = [f"{e} = 0" for e in eqs]
+    return 0, {"status": "computed", "lambda": str(lam), "equations": equations}, None
 
 
-def _cmd_conslaw(args) -> int:
-    doc = _load(args.file)
+def _cmd_conslaw(args, doc):
     eq = _equation(doc)
     sym = _symmetry(doc, args.symmetry)
     sub = _substitution(doc, args.phi)
-    raw = ibragimov_vector(eq, sym)
     # a failing substitution shows up as a nonzero divergence below
-    vec = localize(raw, sub)
+    vec = localize(ibragimov_vector(eq, sym), sub)
     if args.normalize:
         vec = density_normalize(vec, eq)
     residual = verify_divergence(vec, (eq,))
-    _emit(
-        args,
-        {
-            "status": "verified" if residual.is_zero else "refuted",
-            "c0": str(vec.c0),
-            "c1": str(vec.c1),
-            "transfer": str(vec.provenance.transfer),
-            "divergence_residual": str(residual),
-        },
-    )
-    return 0 if residual.is_zero else 1
+    fields = {
+        "status": _verdict(residual.is_zero),
+        "c0": str(vec.c0),
+        "c1": str(vec.c1),
+        "transfer": str(vec.provenance.transfer),
+        "divergence_residual": str(residual),
+    }
+    return (0 if residual.is_zero else 1), fields, None
 
 
-def _cmd_check_symmetry(args) -> int:
-    doc = _load(args.file)
+def _cmd_check_symmetry(args, doc):
     eq = _equation(doc)
-    sym = _symmetry(doc, args.symmetry)
-    action = prolonged_action(sym, eq)
-    _emit(
-        args,
-        {
-            "status": "verified" if action.is_zero else "refuted",
-            "residual": str(action),
-        },
-    )
-    return 0 if action.is_zero else 1
+    action = prolonged_action(_symmetry(doc, args.symmetry), eq)
+    fields = {"status": _verdict(action.is_zero), "residual": str(action)}
+    return (0 if action.is_zero else 1), fields, None
 
 
-def _cmd_catalog_verify(args) -> int:
+def _cmd_catalog_verify(args, doc):
     ids = [args.id] if args.id else [entry.id for entry in catalog_entries()]
     reports = [verify_entry(entry_id) for entry_id in ids]
     ok = all(r.ok for r in reports)
-    if args.json:
-        payload = {
-            "status": "verified" if ok else "refuted",
-            "entries": [
-                {
-                    "id": r.entry_id,
-                    "ok": r.ok,
-                    "claims": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in r.claims
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in reports:
-            print(r)
-        print(f"status: {'verified' if ok else 'refuted'}")
-    return 0 if ok else 1
+    entries = [
+        {"id": r.entry_id, "ok": r.ok, "claims": [asdict(c) for c in r.claims]}
+        for r in reports
+    ]
+    text = "".join(f"{r}\n" for r in reports) + f"status: {_verdict(ok)}\n"
+    return (0 if ok else 1), {"status": _verdict(ok), "entries": entries}, text
 
 
-def _cmd_fmt(args) -> int:
-    doc = _load(args.file)
+def _cmd_fmt(args, doc):
     text = print_document(doc)
-    if args.json:
-        print(json.dumps({"status": "computed", "formatted": text}, indent=2))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0, {"status": "computed", "formatted": text}, text
+
+
+_FILE = ("file", {})
+_PHI = ("--phi", {"help": "substitution expression (default: from the file)"})
+
+# (words, handler, help, arguments); a row without a handler is a group
+# whose commands follow it, and each argument is (name, add_argument options)
+_COMMANDS = (
+    (("adjoint",), _cmd_adjoint, "print the adjoint equation", (_FILE,)),
+    (("check-nsa",), _cmd_check_nsa,
+     "check nonlinear self-adjointness under a substitution", (_FILE, _PHI)),
+    (("determining",), _cmd_determining,
+     "print the determining system for substitutions phi(x, t, u)", (_FILE,)),
+    (("conslaw",), _cmd_conslaw,
+     "build a conserved vector from a point symmetry", (
+         _FILE,
+         ("--symmetry", {
+             "required": True,
+             "help": "symmetry name from the file, or inline"
+                     " 'tau = ...; xi = ...; eta = ...'",
+         }),
+         _PHI,
+         ("--normalize", {
+             "action": "store_true",
+             "help": "move total x-derivatives from the density into the flux",
+         }),
+     )),
+    (("check-symmetry",), _cmd_check_symmetry,
+     "verify a point symmetry by prolonged action on the equation",
+     (_FILE, ("--symmetry", {"required": True}))),
+    (("catalog",), None, "operations on the built-in catalog", ()),
+    (("catalog", "verify"), _cmd_catalog_verify, "recheck catalog entries",
+     (("id", {"nargs": "?", "help": "entry id (default: all entries)"}),)),
+    (("fmt",), _cmd_fmt, "reprint a document in canonical form", (_FILE,)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,71 +208,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="adjoint equations, self-adjointness and conservation laws"
         " for scalar evolution equations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("adjoint", parents=[common], help="print the adjoint equation")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_adjoint)
-
-    p = sub.add_parser(
-        "check-nsa",
-        parents=[common],
-        help="check nonlinear self-adjointness under a substitution",
-    )
-    p.add_argument("file")
-    p.add_argument("--phi", help="substitution expression (default: from the file)")
-    p.set_defaults(handler=_cmd_check_nsa)
-
-    p = sub.add_parser(
-        "determining",
-        parents=[common],
-        help="print the determining system for substitutions phi(x, t, u)",
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_determining)
-
-    p = sub.add_parser(
-        "conslaw",
-        parents=[common],
-        help="build a conserved vector from a point symmetry",
-    )
-    p.add_argument("file")
-    p.add_argument(
-        "--symmetry",
-        required=True,
-        help="symmetry name from the file, or inline 'tau = ...; xi = ...; eta = ...'",
-    )
-    p.add_argument("--phi", help="substitution expression (default: from the file)")
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        help="move total x-derivatives from the density into the flux",
-    )
-    p.set_defaults(handler=_cmd_conslaw)
-
-    p = sub.add_parser(
-        "check-symmetry",
-        parents=[common],
-        help="verify a point symmetry by prolonged action on the equation",
-    )
-    p.add_argument("file")
-    p.add_argument("--symmetry", required=True)
-    p.set_defaults(handler=_cmd_check_symmetry)
-
-    p = sub.add_parser("catalog", help="operations on the built-in catalog")
-    catalog_sub = p.add_subparsers(dest="catalog_command", required=True)
-    v = catalog_sub.add_parser(
-        "verify", parents=[common], help="recheck catalog entries"
-    )
-    v.add_argument("id", nargs="?", help="entry id (default: all entries)")
-    v.set_defaults(handler=_cmd_catalog_verify)
-
-    p = sub.add_parser(
-        "fmt", parents=[common], help="reprint a document in canonical form"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_fmt)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, handler, help_text, arguments in _COMMANDS:
+        *group, name = words
+        subparsers = groups[tuple(group)]
+        if handler is None:
+            p = subparsers.add_parser(name, help=help_text)
+            dest = "_".join((*words, "command"))
+            groups[words] = p.add_subparsers(dest=dest, required=True)
+            continue
+        p = subparsers.add_parser(name, parents=[common], help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -292,11 +237,17 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = args.handler(args)
+            doc = _load(args.file) if "file" in args else None
+            code, fields, text = args.handler(args, doc)
         except UnsupportedInputError as exc:
             code = _report_error(args, str(exc), 3)
         except NsaError as exc:
             code = _report_error(args, str(exc), 2)
+        else:
+            if args.json:
+                print(json.dumps(fields, indent=2))
+            else:
+                sys.stdout.write(_key_values(fields) if text is None else text)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return code

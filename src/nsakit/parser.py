@@ -230,7 +230,8 @@ class _Parser:
             canon = "".join(sorted(sub, key=alphabet.index))
             if canon != sub:
                 warnings.warn(
-                    f"{noun} subscript {name} reordered to {head}_{canon}",
+                    f"{tok.line}:{tok.col}: {noun} subscript {name} reordered to"
+                    f" {head}_{canon}",
                     ReorderedSubscriptWarning,
                 )
             return cls(head, *map(sub.count, alphabet))

@@ -1,7 +1,10 @@
 """Adjoint construction, substitution checks, determining systems."""
 
 import dataclasses
+import random
+from importlib import resources
 
+import genexpr
 import pytest
 
 from nsakit import (
@@ -14,17 +17,20 @@ from nsakit import (
     classify_substitution,
     determining_system,
     determining_system_detailed,
+    euler,
     formal_lagrangian,
     ln,
     load_fixture,
     nsa_check,
     parse_document,
     parse_expression,
+    partial_coord,
     primitive_normal,
 )
 from nsakit import adjoint, calculus
 from nsakit.atoms import IndepVar, Jet, UnknownFn
 from nsakit.errors import SubstitutionError, UnsupportedInputError
+from nsakit.expr import unknown
 
 T = DiffExpr.from_atom(IndepVar("t"))
 X = DiffExpr.from_atom(IndepVar("x"))
@@ -267,3 +273,29 @@ def test_determining_system_of_transport_equation():
 
     assert keyed["1"] == primitive_normal(ph(1, 0, 0) + U * ph(0, 1, 0))
     assert determining_system(eq) == [keyed["1"]]
+
+
+def test_nsa_residual_is_the_euler_operator_of_phi_times_f():
+    """F*|_{v=phi} + phi_u*F = E_u(phi*F) for every phi(x, t, u).
+
+    The residual is built from the stored adjoint and substitute_dependent,
+    the right side from euler alone, so each checks the others.
+    """
+    phi = unknown("phi")
+    cases = []
+    for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        doc = load_fixture(path.name)
+        eq = doc.equations[0]
+        cases += [(eq, phi), (eq, doc.substitutions[0])]
+    rng = random.Random(20121)
+    atoms = (genexpr.T, genexpr.X, genexpr.P, genexpr.A_FN, genexpr.F_POW,
+             genexpr.U, genexpr.U_X, genexpr.U_XX, genexpr.U_XXX)
+    for _ in range(200):
+        h = genexpr.random_expr(
+            rng, atoms=atoms, log_args=genexpr.DIFFERENTIABLE_LOG_ARGS
+        )
+        eq = Equation(jet(1, 0) + h)
+        cases += [(eq, phi), (eq, genexpr.random_point_function(rng))]
+    for eq, f in cases:
+        residual = adjoint._nsa_residual(eq, f, partial_coord(f, "u"))
+        assert residual == euler(f * eq.lhs, "u"), (eq.lhs, f)

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import random
 
 import pytest
+from genexpr import PREAMBLE
 
 from nsakit import load_fixture, print_document
 from nsakit.cli import main
@@ -388,7 +390,7 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
 def test_warnings_are_printed_as_warning_lines(capsys, doc_path):
     """A parser warning is one stderr line; stdout is as without it."""
     path = doc_path("u_t + u*u_xxx = 0; conserved { c0 = u_xt; c1 = 0; }\n")
-    warning = "warning: jet subscript u_xt reordered to u_tx\n"
+    warning = "warning: 1:37: jet subscript u_xt reordered to u_tx\n"
     code, out, err = run(capsys, "fmt", path)
     assert (code, out, err) == (
         0, "u*u_xxx + u_t = 0;\nconserved { c0 = u_tx; c1 = 0; }\n", warning
@@ -421,3 +423,82 @@ def test_conslaw_beyond_fifth_order(capsys, doc_path):
     lines = out.splitlines()
     assert lines[:2] == ["status: verified", "c0: 11/2*u^2"]
     assert lines[-1] == "divergence_residual: 0"
+
+
+_FUZZ_JETS = ("u", "u_x", "u_xx", "u_xxx", "x", "t", "p", "a", "f", "ln(u)",
+              "ln(2*u_x)", "ln(x + t)")
+# t-derivatives are refused in an equation's right side, so they come rarely
+_FUZZ_T = ("u_t", "u_tx", "u_xt")
+_FUZZ_POINT = ("u", "x", "t", "p", "ln(u)")
+_FUZZ_DAMAGE = "();{}=+-*^/,"
+
+
+def _fuzz_expr(rng, atoms, max_terms=3):
+    """A sum of 1..max_terms monomials; never starts with '-', so an option
+    value is not taken for an option."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        factors = [str(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):
+            factors.append(rng.choice(atoms) + rng.choice(("", "^2", "^3", "^-1")))
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def _fuzz_symmetry(rng):
+    return "; ".join(
+        f"{name} = {_fuzz_expr(rng, _FUZZ_POINT, 2) if rng.random() < 0.6 else 0}"
+        for name in ("tau", "xi", "eta")
+    )
+
+
+def _fuzz_document(rng):
+    rhs = _fuzz_expr(rng, _FUZZ_JETS, 4)
+    if rng.random() < 0.15:
+        rhs += f" + {rng.choice(_FUZZ_T)}*u"
+    lines = [PREAMBLE, f"u_t + {rhs} = 0;"]
+    if rng.random() < 0.6:
+        lines.append(f"phi = {_fuzz_expr(rng, _FUZZ_POINT, 2)};")
+    if rng.random() < 0.6:
+        lines.append(f"symmetry s {{ {_fuzz_symmetry(rng)}; }}")
+    if rng.random() < 0.3:
+        c0, c1 = (_fuzz_expr(rng, _FUZZ_JETS + _FUZZ_T, 2) for _ in range(2))
+        lines.append(f"conserved {{ c0 = {c0}; c1 = {c1}; }}")
+    text = "\n".join(lines) + "\n"
+    if rng.random() < 0.2:
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice(_FUZZ_DAMAGE) + text[at:]
+    return text
+
+
+def test_every_command_keeps_the_output_contract(capsys, doc_path):
+    """Seeded documents, damaged or not, through every file command: the
+    exit code is 0-3, --json parses, and an error is one stderr line."""
+    rng = random.Random(2012)
+    for i in range(320):
+        path = doc_path(_fuzz_document(rng), f"fuzz{i}.nsa")
+        sym = rng.choice(("s", "nosuch", _fuzz_symmetry(rng)))
+        phi = ["--phi", _fuzz_expr(rng, _FUZZ_POINT, 2)] if rng.random() < 0.5 else []
+        argv = rng.choice((
+            ["adjoint", path],
+            ["check-nsa", path, *phi],
+            ["determining", path],
+            ["check-symmetry", path, "--symmetry", sym],
+            ["conslaw", path, "--symmetry", sym, *phi],
+            ["conslaw", path, "--symmetry", sym, "--normalize", *phi],
+            ["fmt", path],
+        ))
+        if rng.random() < 0.5:
+            argv.append("--json")
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), argv
+        errors = [line for line in err.splitlines()
+                  if not line.startswith("warning: ")]
+        if "--json" in argv:
+            assert "status" in json.loads(out), argv
+            assert errors == [], argv
+        elif code >= 2:
+            assert out == "", argv
+            assert len(errors) == 1 and errors[0].startswith("error: "), argv
+        else:
+            assert errors == [], argv

@@ -83,6 +83,16 @@ def test_subscript_reordering_warns():
         parse_expression("u_tx")  # already canonical, no warning
 
 
+def test_subscript_reordering_warning_is_located():
+    """The warning starts with the line:col of the reordered identifier."""
+    with pytest.warns(ReorderedSubscriptWarning,
+                      match=r"^1:5: jet subscript u_xt reordered to u_tx$"):
+        parse_expression("u + u_xt")
+    with pytest.warns(ReorderedSubscriptWarning,
+                      match=r"^2:6: partial subscript phi_ux reordered to phi_xu$"):
+        parse_expression("u\n + 2*phi_ux")
+
+
 def test_declaration_errors():
     with pytest.raises(DeclarationError):
         parse_document("param a; param a; u_t = 0;")
