@@ -1,11 +1,12 @@
 """Differential operations on canonical expressions.
 
-Total derivatives treat jets as functions of (t, x) and chain through
-undetermined functions of (x, t, u); explicit partial derivatives treat
-every jet coordinate as independent.  On top of these live the variational
-(Euler-Lagrange) operator, substitution of a dependent variable by an
-expression in (x, t, u), reduction modulo evolution equations, and the
-prolonged action of a point symmetry.
+Explicit partial derivatives treat every jet coordinate as independent,
+with one rule per atom kind.  The total derivative is D = the explicit
+partial + the jet chain: a jet goes to the next jet, and an undetermined
+function of (x, t, u) adds phi_u * u_t or phi_u * u_x.  On top of these
+live the variational (Euler-Lagrange) operator, substitution of a
+dependent variable by an expression in (x, t, u), reduction modulo
+evolution equations, and the prolonged action of a point symmetry.
 """
 
 from __future__ import annotations
@@ -58,41 +59,56 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     return DiffExpr._from_dict(data)
 
 
-def _coeff_dt(atom: CoeffFn) -> DiffExpr:
-    """D_t of a coefficient function: its declared rule, where the bare
-    CoeffFn(name) stands for the atom itself, or the next prime."""
-    if atom.rule is not None:
-        return atom.rule.subs_atoms({CoeffFn(atom.name): DiffExpr.from_atom(atom)})
-    return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
+@cache
+def _partial_rule(by: Union[str, Jet]) -> Callable[[Atom], Optional[DiffExpr]]:
+    """Explicit partial derivative along ``by`` ("t", "x" or a jet) on atoms:
+    a jet is 1 when it is ``by``, phi goes to its partial along t, x or the
+    jet u, and a coefficient function of t goes along t to its declared rule
+    (the bare CoeffFn(name) in it stands for the atom) or its next prime."""
+    phi_coord = "u" if by == _U else by if isinstance(by, str) else None
 
-
-def _total_atom_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
     def rule(atom: Atom) -> Optional[DiffExpr]:
-        if isinstance(atom, IndepVar):
-            return _ONE if atom.name == direction else None
-        if isinstance(atom, Param):
-            return None
-        if isinstance(atom, CoeffFn):
-            return None if direction == "x" else _coeff_dt(atom)
         if isinstance(atom, Jet):
-            return DiffExpr.from_atom(atom.bump(direction))
+            return _ONE if atom == by else None
         if isinstance(atom, UnknownFn):
-            du = jet("u", 1 if direction == "t" else 0, 1 if direction == "x" else 0)
-            return DiffExpr.from_atom(atom.bump(direction)) + DiffExpr.from_atom(
-                atom.bump("u")
-            ) * du
-        raise ExpressionError(f"no derivative rule for {atom!r}")
+            return phi_coord and DiffExpr.from_atom(atom.bump(phi_coord))
+        if isinstance(atom, IndepVar):
+            return _ONE if atom.name == by else None
+        if isinstance(atom, CoeffFn) and by == "t":
+            if atom.rule is None:
+                return DiffExpr.from_atom(CoeffFn(atom.name, atom.primes + 1))
+            return atom.rule.subs_atoms({CoeffFn(atom.name): DiffExpr.from_atom(atom)})
+        return None
 
     return rule
 
 
-def total_derivative(e: Union[DiffExpr, int], direction: str, order: int = 1) -> DiffExpr:
+@cache
+def _total_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
+    """D = the explicit partial + the jet chain, on atoms: a jet goes to the
+    next jet, and phi adds phi_u * u_t or phi_u * u_x."""
+    partial, partial_u = _partial_rule(direction), _partial_rule(_U)
+    du = DiffExpr.from_atom(_U.bump(direction))
+
+    def rule(atom: Atom) -> Optional[DiffExpr]:
+        if isinstance(atom, Jet):
+            return DiffExpr.from_atom(atom.bump(direction))
+        if isinstance(atom, UnknownFn):
+            return partial(atom) + partial_u(atom) * du
+        return partial(atom)
+
+    return rule
+
+
+def total_derivative(
+    e: Union[DiffExpr, int], direction: str, order: int = 1
+) -> DiffExpr:
     """Total derivative D_t or D_x, applied ``order`` times."""
     if direction not in ("t", "x"):
         raise ExpressionError(f"unknown direction {direction!r}")
     out = as_expr(e)
     for _ in range(order):
-        out = _leibniz(out, _total_atom_rule(direction))
+        out = _leibniz(out, _total_rule(direction))
     return out
 
 
@@ -120,35 +136,15 @@ def partial_jet(e: DiffExpr, coordinate: Jet) -> DiffExpr:
     Undetermined functions chain through u when the coordinate is the
     order-zero jet of u; all other jets are treated as independent.
     """
-
-    def rule(atom: Atom) -> Optional[DiffExpr]:
-        if atom == coordinate:
-            return _ONE
-        if isinstance(atom, UnknownFn) and coordinate == Jet("u", 0, 0):
-            return DiffExpr.from_atom(atom.bump("u"))
-        return None
-
-    return _leibniz(e, rule)
+    return _leibniz(e, _partial_rule(coordinate))
 
 
 def partial_coord(e: DiffExpr, coordinate: str) -> DiffExpr:
     """Explicit partial derivative along x, t or u for expressions in
     (x, t, u): jets of positive order are independent coordinates here."""
-    if coordinate == "u":
-        return partial_jet(e, Jet("u", 0, 0))
-    if coordinate not in ("t", "x"):
+    if coordinate not in ("t", "x", "u"):
         raise ExpressionError(f"unknown coordinate {coordinate!r}")
-
-    def rule(atom: Atom) -> Optional[DiffExpr]:
-        if isinstance(atom, IndepVar):
-            return _ONE if atom.name == coordinate else None
-        if isinstance(atom, CoeffFn):
-            return None if coordinate == "x" else _coeff_dt(atom)
-        if isinstance(atom, UnknownFn):
-            return DiffExpr.from_atom(atom.bump(coordinate))
-        return None
-
-    return _leibniz(e, rule)
+    return _leibniz(e, _partial_rule(_U if coordinate == "u" else coordinate))
 
 
 def jet_partials(e: DiffExpr, dep: str) -> Iterator[tuple[Jet, DiffExpr]]:

@@ -291,11 +291,9 @@ class DiffExpr:
                 if atom in chosen and exp < 0:
                     raise CollectError(f"{atom} occurs with negative exponent")
                 if isinstance(atom, Log):
-                    inside = set(atom.arg.atoms())
-                    if inside & chosen:
-                        raise CollectError(
-                            "selected atom occurs inside a ln argument"
-                        )
+                    inside = set(atom.arg.atoms()) & chosen
+                    if inside:
+                        raise CollectError(f"{min(inside)} occurs inside {atom}")
         groups: dict = {}
         for factors, coeff in self._terms:
             key = tuple(it for it in factors if it[0] in chosen)
@@ -390,15 +388,8 @@ def primitive_normal(e: DiffExpr) -> DiffExpr:
     leading one is positive.  Zero stays zero."""
     if e.is_zero:
         return e
-    nums = [c.numerator for _, c in e._terms]
-    dens = [c.denominator for _, c in e._terms]
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    m = 1
-    for d in dens:
-        m = lcm(m, d)
-    scale = Fraction(m, g)
+    nums, dens = zip(*((c.numerator, c.denominator) for _, c in e._terms))
+    scale = Fraction(lcm(*dens), gcd(*nums))
     if e._terms[0][1] < 0:
         scale = -scale
     return e * scale

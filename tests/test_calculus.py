@@ -37,6 +37,7 @@ from nsakit.catalog import load_fixture
 from nsakit.calculus import partial_coord, partial_jet
 from nsakit.errors import (
     EquationFormError,
+    ExpressionError,
     NsaError,
     SubstitutionError,
     UnsupportedInputError,
@@ -57,6 +58,8 @@ def test_total_x_derivative():
     assert total_derivative(X * U, "x") == U + X * U_X
     assert total_derivative(7, "x").is_zero
     assert total_derivative(U, "x", order=3) == U_XXX
+    with pytest.raises(ExpressionError, match="^unknown direction 'y'$"):
+        total_derivative(U, "y")
 
 
 def test_total_t_derivative_of_functions():
@@ -197,6 +200,8 @@ def test_partial_derivatives():
     assert partial_jet(U_X * ln(X + T), Jet("u", 0, 1)) == ln(X + T)
     with pytest.raises(UnsupportedInputError, match=r"ln\(t \+ x\)"):
         partial_coord(T * ln(X + T), "t")
+    with pytest.raises(ExpressionError, match="^unknown coordinate 'y'$"):
+        partial_coord(U, "y")
 
 
 def test_euler_operator():
@@ -320,6 +325,14 @@ def test_equation_validation():
         Equation(U_T + U_TX)
     with pytest.raises(UnsupportedInputError):
         Equation(U_T + DiffExpr.from_atom(Jet("u", 2, 0)))
+    for lhs, message in (
+        (DiffExpr.zero(), "equation left side must be a nonzero expression"),
+        (U_T + DiffExpr.from_atom(Jet("v")), "u-equation must not involve v"),
+        (U_T + DiffExpr.from_atom(UnknownFn("phi")),
+         "equations must not contain unknown functions"),
+    ):
+        with pytest.raises(EquationFormError, match=f"^{message}$"):
+            Equation(lhs)
 
 
 def test_point_symmetry_validation():
@@ -395,6 +408,10 @@ def test_prolonged_action_verifies_symmetries():
     # a non-symmetry leaves a nonzero action
     bad = PointSymmetry(DiffExpr.zero(), DiffExpr.zero(), U)
     assert not prolonged_action(bad, eq3).is_zero
+    with pytest.raises(
+        UnsupportedInputError, match="^symmetry action is defined for u-equations$"
+    ):
+        prolonged_action(shift, adjoint_system(eq3)[1])
 
 
 def test_prolonged_action_matches_characteristic_form():

@@ -302,6 +302,26 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: 1:27: expected one of tau, xi, eta\n"
 
+    sym_error = "symmetry component tau may depend on x, t, u only (found u_x)"
+    for text, message in (
+        ("u_t + u*u_xy = 0;\n", "1:9: jet subscript of u may contain only t and x"),
+        ("u_t + u*u_xxx + ln(ln(u))*u = 0;\n",
+         "1:17: directly nested ln is not supported"),
+        ("u_t + u*u_xxx = 0;\nsymmetry bad { tau = u_x; xi = 0; eta = 0; }\n",
+         f"2:1: {sym_error}"),
+    ):
+        code, out, err = run(capsys, "adjoint", doc_path(text))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+    # an inline symmetry is not part of the document, so it is unlocated
+    code, out, err = run(
+        capsys,
+        "check-symmetry",
+        doc_path("u_t + u*u_xxx = 0;"),
+        "--symmetry",
+        "tau = u_x; xi = 0; eta = 0",
+    )
+    assert (code, out, err) == (2, "", f"error: {sym_error}\n")
+
 
 def test_t_derivative_inside_ln_is_refused(capsys, doc_path):
     """u_t inside a ln is refused like any u_t outside the leading term."""
@@ -328,7 +348,8 @@ def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
 
 
 def test_exit_3_unsupported_inputs(capsys, doc_path):
-    """Unsupported input exits 3; every error in a document is located."""
+    """Unsupported input exits 3.  An error found while the document is read
+    is located; a refusal from a later computation is not."""
     cap = "jet of u exceeds the order cap 12"
     invertible = "only single-monomial expressions are invertible"
     for text, want_code, message in (
@@ -376,11 +397,13 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
             3, "", f"error: cannot differentiate {ln_text}: its argument is a sum\n"
         ), argv
     # a determining system not polynomial in the jets cannot be collected
-    for text in ("u_t + u_x^-1 = 0;\n", "u_t + ln(u_x)*u_xxx = 0;\n"):
+    for text, message in (
+        ("u_t + u_x^-1 = 0;\n", "u_x occurs with negative exponent"),
+        ("u_t + ln(u_x)*u_xxx = 0;\n", "u_x occurs with negative exponent"),
+        ("u_t + ln(2*u_x)*u_xx = 0;\n", "u_x occurs inside ln(2*u_x)"),
+    ):
         code, out, err = run(capsys, "determining", doc_path(text))
-        assert (code, out, err) == (
-            3, "", "error: u_x occurs with negative exponent\n"
-        ), text
+        assert (code, out, err) == (3, "", f"error: {message}\n"), text
     long_sum = "u_t + " + "9" * 4300 + "*u_x + u_x = 0;\n"
     code, out, err = run(capsys, "fmt", doc_path(long_sum))
     assert (code, out) == (3, "")

@@ -126,6 +126,10 @@ def test_density_normalize_strips_total_x_derivatives():
         - Fraction(1, 2) * U_X**2
     assert verify_divergence(norm, eq).is_zero
     assert norm.provenance.sign == -1
+    with pytest.raises(
+        UnsupportedInputError, match=r"^normalize a localized \(v-free\) vector$"
+    ):
+        density_normalize(ibragimov_vector(eq, scaling_symmetry()), eq)
 
 
 def test_density_normalize_transfer_identity():

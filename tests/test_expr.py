@@ -314,10 +314,13 @@ def test_collect_groups_by_selected_jets():
 
 def test_collect_rejects_negative_selected_powers():
     u_x = Jet("u", 0, 1)
-    with pytest.raises(CollectError):
+    with pytest.raises(CollectError, match="^u_x occurs with negative exponent$"):
         (U_X**-1).collect({u_x})
-    with pytest.raises(CollectError):
+    with pytest.raises(CollectError, match=r"^u_x occurs inside ln\(u_x\)$"):
         ln(U_X).collect({u_x})
+    # the smallest selected atom inside the ln is named
+    with pytest.raises(CollectError, match=r"^u_x occurs inside ln\(u_x\*u_xx\)$"):
+        ln(U_X * U_XX).collect({Jet("u", 0, 2), u_x})
 
 
 def test_primitive_normal_scales_to_integer_content():

@@ -1,6 +1,7 @@
 """Every module of the package and of the tests uses each name it imports,
 every dataclass field of the package is read somewhere in it, no module
-of the package rewrites a frozen value, and none computes with floats."""
+of the package rewrites a frozen value, none computes with floats, and
+every line of both fits in 88 columns."""
 
 import ast
 from pathlib import Path
@@ -111,3 +112,13 @@ def test_no_module_uses_floating_point():
             and node.func.id == "float")
     ]
     assert not found, "float literals or float() calls:\n" + "\n".join(found)
+
+
+def test_lines_fit_in_88_columns():
+    long_lines = [
+        f"{path.parent.name}/{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 88
+    ]
+    assert not long_lines, "lines over 88 columns:\n" + "\n".join(long_lines)

@@ -219,6 +219,11 @@ def test_parse_symmetry_inline():
         parse_symmetry("tau = t; xi = 0")
     with pytest.raises(ParseError, match="^1:27: expected one of tau, xi, eta$"):
         parse_symmetry("tau = 0; xi = 1; eta = 0; } anything")
+    with pytest.raises(
+        ParseError,
+        match=r"^symmetry component tau may depend on x, t, u only \(found u_x\)$",
+    ):
+        parse_symmetry("tau = u_x; xi = 0; eta = 0")
 
 
 def test_lexer_edges():
@@ -290,6 +295,16 @@ def test_equation_statement_validation():
         parse_document("2*u_t + u_x = 0;")
     with pytest.raises(ParseError):
         parse_document("u_t + u_x = u;")  # rhs must be the literal 0
+    for text, message in (
+        ("u_t + u*u_xy = 0;", "1:9: jet subscript of u may contain only t and x"),
+        ("u_t + u*u_xxx + ln(ln(u))*u = 0;",
+         "1:17: directly nested ln is not supported"),
+        ("u_t + u*u_xxx = 0;\nsymmetry bad { tau = u_x; xi = 0; eta = 0; }",
+         "2:1: symmetry component tau may depend on x, t, u only (found u_x)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == message, text
 
 
 def test_fuzz_parser_totality():
