@@ -11,7 +11,6 @@ variables, with no search.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import (
@@ -22,6 +21,7 @@ from .calculus import (
 )
 from .errors import SubstitutionError
 from .expr import DiffExpr, equal, jet, primitive_normal, unknown
+from .record import Record
 
 
 def adjoint_equation(eq: Equation) -> DiffExpr:
@@ -43,16 +43,16 @@ def adjoint_system(eq: Equation) -> tuple[Equation, Equation]:
     return eq, Equation(-fstar, dep="v")
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """A concrete substitution v = phi(x, t, u)."""
 
-    phi: DiffExpr
+    _fields = ("phi",)
 
-    def __post_init__(self):
-        _require_point_function(self.phi, "phi", SubstitutionError)
-        if self.phi.is_zero:
+    def __init__(self, phi: DiffExpr):
+        _require_point_function(phi, "phi", SubstitutionError)
+        if phi.is_zero:
             raise SubstitutionError("phi = 0 is excluded")
+        self._set(phi)
 
     def __str__(self) -> str:
         return f"phi = {self.phi}"
@@ -93,15 +93,22 @@ def _classify(phi: DiffExpr, partials: dict[str, DiffExpr]) -> Classification:
     return Classification.NONLINEAR
 
 
-@dataclass(frozen=True)
-class NsaReport:
+class NsaReport(Record):
     """Outcome of a self-adjointness check under the forced multiplier."""
 
-    holds: bool
-    multiplier: DiffExpr
-    residual: DiffExpr
-    classification: Optional[Classification]
-    nonzero_partials: tuple[str, ...]
+    _fields = (
+        "holds", "multiplier", "residual", "classification", "nonzero_partials",
+    )
+
+    def __init__(
+        self,
+        holds: bool,
+        multiplier: DiffExpr,
+        residual: DiffExpr,
+        classification: Optional[Classification],
+        nonzero_partials: tuple[str, ...],
+    ):
+        self._set(holds, multiplier, residual, classification, nonzero_partials)
 
     def __str__(self) -> str:
         verdict = "holds" if self.holds else "fails"

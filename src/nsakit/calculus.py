@@ -11,7 +11,6 @@ evolution equations, and the prolonged action of a point symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from typing import Callable, Iterator, Optional, Union
@@ -24,6 +23,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .expr import DiffExpr, _accumulate_product, as_expr, jet
+from .record import Record
 
 _ZERO = DiffExpr.zero()
 _ONE = DiffExpr.one()
@@ -207,8 +207,7 @@ def substitute_symbols(e: DiffExpr, values: dict) -> DiffExpr:
     return e.subs_atoms(mapping)
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """Evolution equation lhs = 0 with lhs = dep_t + H(...).
 
     The t-derivative of ``dep`` must occur exactly once, as a bare monomial
@@ -216,22 +215,20 @@ class Equation:
     inside a ln.  For dep = u the lhs must not involve v.
     """
 
-    lhs: DiffExpr
-    dep: str = "u"
+    _fields = ("lhs", "dep")
 
-    def __post_init__(self):
-        lhs = self.lhs
+    def __init__(self, lhs: DiffExpr, dep: str = "u"):
         if not isinstance(lhs, DiffExpr) or lhs.is_zero:
             raise EquationFormError("equation left side must be a nonzero expression")
-        dt = Jet(self.dep, 1, 0)
+        dt = Jet(dep, 1, 0)
         for atom in lhs.atoms():
-            if isinstance(atom, Jet) and atom.dep == self.dep and atom.t_order >= 1:
+            if isinstance(atom, Jet) and atom.dep == dep and atom.t_order >= 1:
                 if atom != dt:
                     raise UnsupportedInputError(
                         f"derivative {atom} is outside the supported "
                         f"evolution class"
                     )
-            if self.dep == "u" and isinstance(atom, Jet) and atom.dep == "v":
+            if dep == "u" and isinstance(atom, Jet) and atom.dep == "v":
                 raise EquationFormError("u-equation must not involve v")
             if isinstance(atom, UnknownFn):
                 raise EquationFormError("equations must not contain unknown functions")
@@ -248,11 +245,12 @@ class Equation:
             seen_plain = True
         if not seen_plain:
             raise EquationFormError(f"equation must contain {dt}")
+        self._set(lhs, dep)
 
     @cached_property
     def adjoint(self) -> DiffExpr:
         """F* = delta L / delta u of the formal Lagrangian, computed once per
-        Equation value and stored outside the dataclass fields, so equality
+        Equation value and stored outside the record's fields, so equality
         and hashing are unaffected."""
         return euler(formal_lagrangian(self), "u")
 
@@ -276,24 +274,17 @@ def formal_lagrangian(eq: Equation) -> DiffExpr:
     return jet("v") * eq.lhs
 
 
-_SYMMETRY_COMPONENTS = ("tau", "xi", "eta")
-
-
-@dataclass(frozen=True)
-class PointSymmetry:
+class PointSymmetry(Record):
     """Generator tau d_t + xi d_x + eta d_u with coefficients in (x, t, u)."""
 
-    tau: DiffExpr
-    xi: DiffExpr
-    eta: DiffExpr
-    name: str = ""
+    _fields = ("tau", "xi", "eta", "name")
 
-    def __post_init__(self):
-        for label in _SYMMETRY_COMPONENTS:
+    def __init__(self, tau: DiffExpr, xi: DiffExpr, eta: DiffExpr, name: str = ""):
+        for label, component in zip(self._fields, (tau, xi, eta)):
             _require_point_function(
-                getattr(self, label), f"symmetry component {label}",
-                UnsupportedInputError,
+                component, f"symmetry component {label}", UnsupportedInputError
             )
+        self._set(tau, xi, eta, name)
 
     def __str__(self) -> str:
         return f"tau = {self.tau}; xi = {self.xi}; eta = {self.eta}"

@@ -9,8 +9,6 @@ scratch and flags any reported component that fails the divergence check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .adjoint import (
@@ -34,10 +32,10 @@ from .parser import (
     parse_expression,
     parse_symmetry,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One catalogued equation family or worked example.
 
     Every field is a claim that :func:`verify_entry` recomputes; what an
@@ -45,34 +43,52 @@ class CatalogEntry:
     fixture's comment.
     """
 
-    id: str
-    fixture: str
-    classification: Classification
-    # ((symbol, value), ...) assignments with the classification expected there
-    special_cases: tuple = ()
-    # (phi text, expected residual text) for substitutions that must fail
-    refuted_substitutions: tuple = ()
-    # inline symmetry text that must fail the prolongation check
-    refuted_symmetries: tuple = ()
-    # (symbol, value) assignments under which each refutation residual
-    # must stay nonzero
-    witness: tuple = ()
-    # divergence-verified (c0, c1) text for the fixture's symmetry and phi
-    verified_vector: Optional[tuple] = None
-    # expected divergence residual text of the fixture's reported conserved
-    # block, "0" when it passes; set exactly when the fixture has one
-    reported_residual: Optional[str] = None
-    # substitutions under which the construction only yields trivial vectors
-    trivial_substitutions: tuple = ()
-    # fixture of a special instance whose vector must come out trivial
-    trivial_instance: str = ""
+    _fields = (
+        "id", "fixture", "classification", "special_cases",
+        "refuted_substitutions", "refuted_symmetries", "witness",
+        "verified_vector", "reported_residual", "trivial_substitutions",
+        "trivial_instance",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        fixture: str,
+        classification: Classification,
+        # ((symbol, value), ...) assignments with the classification
+        # expected there
+        special_cases: tuple = (),
+        # (phi text, expected residual text) for substitutions that must fail
+        refuted_substitutions: tuple = (),
+        # inline symmetry text that must fail the prolongation check
+        refuted_symmetries: tuple = (),
+        # (symbol, value) assignments under which each refutation residual
+        # must stay nonzero
+        witness: tuple = (),
+        # divergence-verified (c0, c1) text for the fixture's symmetry and phi
+        verified_vector: Optional[tuple] = None,
+        # expected divergence residual text of the fixture's reported
+        # conserved block, "0" when it passes; set exactly when the fixture
+        # has one
+        reported_residual: Optional[str] = None,
+        # substitutions under which the construction only yields trivial
+        # vectors
+        trivial_substitutions: tuple = (),
+        # fixture of a special instance whose vector must come out trivial
+        trivial_instance: str = "",
+    ):
+        self._set(
+            id, fixture, classification, special_cases, refuted_substitutions,
+            refuted_symmetries, witness, verified_vector, reported_residual,
+            trivial_substitutions, trivial_instance,
+        )
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class ClaimResult(Record):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set(name, passed, detail)
 
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -80,10 +96,11 @@ class ClaimResult:
         return f"{mark} {self.name}{tail}"
 
 
-@dataclass(frozen=True)
-class EntryReport:
-    entry_id: str
-    claims: tuple
+class EntryReport(Record):
+    _fields = ("entry_id", "claims")
+
+    def __init__(self, entry_id: str, claims: tuple):
+        self._set(entry_id, claims)
 
     @property
     def ok(self) -> bool:
@@ -204,6 +221,10 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 
 
 def load_fixture(name: str) -> SourceDocument:
+    # imported on first use: on Python 3.12+ importlib.resources loads
+    # inspect, which commands that read no fixture need not pay for
+    from importlib import resources
+
     text = resources.files("nsakit").joinpath("fixtures", name).read_text()
     return parse_document(text)
 

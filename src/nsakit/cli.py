@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 from .adjoint import (
@@ -146,11 +145,12 @@ def _cmd_check_symmetry(args, doc):
 
 
 def _cmd_catalog_verify(args, doc):
-    ids = [args.id] if args.id else [entry.id for entry in catalog_entries()]
+    ids = [args.id] if args.id is not None else [e.id for e in catalog_entries()]
     reports = [verify_entry(entry_id) for entry_id in ids]
     ok = all(r.ok for r in reports)
     entries = [
-        {"id": r.entry_id, "ok": r.ok, "claims": [asdict(c) for c in r.claims]}
+        {"id": r.entry_id, "ok": r.ok,
+         "claims": [{f: getattr(c, f) for f in c._fields} for c in r.claims]}
         for r in reports
     ]
     text = "".join(f"{r}\n" for r in reports) + f"status: {_verdict(ok)}\n"

@@ -22,7 +22,6 @@ Differential Equations, ch. 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -43,21 +42,24 @@ from .calculus import (
 )
 from .errors import UnsupportedInputError
 from .expr import DiffExpr, jet, ln
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Provenance:
-    transfer: DiffExpr = DiffExpr.zero()
-    sign: int = 1
+class Provenance(Record):
+    _fields = ("transfer", "sign")
+
+    def __init__(self, transfer: DiffExpr = DiffExpr.zero(), sign: int = 1):
+        self._set(transfer, sign)
 
 
-@dataclass(frozen=True)
-class ConservedVector:
+class ConservedVector(Record):
     """Density/flux pair (C^t, C^x) with a record of how it was built."""
 
-    c0: DiffExpr
-    c1: DiffExpr
-    provenance: Provenance = Provenance()
+    _fields = ("c0", "c1", "provenance")
+
+    def __init__(self, c0: DiffExpr, c1: DiffExpr,
+                 provenance: Provenance = Provenance()):
+        self._set(c0, c1, provenance)
 
     def __str__(self) -> str:
         return f"C0 = {self.c0}; C1 = {self.c1}"

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -51,6 +50,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .expr import DiffExpr, int_digit_limit, ln
+from .record import Record
 
 RESERVED = {"t", "x", "u", "v", "ln", "phi", "param", "func", "deriv",
             "symmetry", "conserved"}
@@ -63,12 +63,14 @@ class ReorderedSubscriptWarning(UserWarning):
 # --- declarations -----------------------------------------------------
 
 
-@dataclass
-class Declarations:
+class Declarations(Record):
     """Symbol table: declared parameters and coefficient functions."""
 
-    params: dict = field(default_factory=dict)
-    funcs: dict = field(default_factory=dict)
+    _fields = ("params", "funcs")
+    __hash__ = None
+
+    def __init__(self, params: Optional[dict] = None, funcs: Optional[dict] = None):
+        self._set({} if params is None else params, {} if funcs is None else funcs)
 
     def declare_param(self, name: str) -> None:
         self._check_new(name)
@@ -91,10 +93,12 @@ class Declarations:
 Statement = Union[Equation, Substitution, PointSymmetry, ConservedVector, DiffExpr]
 
 
-@dataclass
-class SourceDocument:
-    declarations: Declarations
-    statements: list
+class SourceDocument(Record):
+    _fields = ("declarations", "statements")
+    __hash__ = None
+
+    def __init__(self, declarations: Declarations, statements: list):
+        self._set(declarations, statements)
 
     @property
     def equations(self) -> list:

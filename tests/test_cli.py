@@ -192,10 +192,11 @@ def test_catalog_verify_all_json(capsys):
 
 
 def test_catalog_verify_unknown_id(capsys):
-    code, out, err = run(capsys, "catalog", "verify", "nope")
-    assert code == 2
-    assert out == ""
-    assert err == "error: unknown catalog entry 'nope'\n"
+    for entry_id in ("nope", ""):
+        code, out, err = run(capsys, "catalog", "verify", entry_id)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown catalog entry {entry_id!r}\n"
 
 
 def test_fmt_is_idempotent(capsys, fixture_path, tmp_path):

@@ -1,15 +1,20 @@
 """Every module of the package and of the tests uses each name it imports,
-every dataclass field of the package is read somewhere in it, no module
+every record field of the package is read somewhere in it, no module
 of the package rewrites a frozen value, none computes with floats, and
-every line of both fits in 88 columns."""
+every line of both fits in 88 columns.  Importing the CLI loads every
+layer of the package and none of the heavy standard modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nsakit
 
 PACKAGE = Path(nsakit.__file__).parent
 TESTS = Path(__file__).parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -60,15 +65,29 @@ def test_modules_use_every_import():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _assignment(body: list, name: str):
+    """The first statement of ``body`` that assigns to ``name`` alone."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign) and [
+            getattr(target, "id", None) for target in stmt.targets
+        ] == [name]:
+            return stmt
+    raise AssertionError(f"no assignment to {name}")
 
 
-def test_dataclass_fields_are_read():
+def _record_fields(tree: ast.Module):
+    """(line, class, field) for every name in the ``_fields`` tuple of each
+    class deriving from Record."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and "Record" in [
+            base.id for base in cls.bases if isinstance(base, ast.Name)
+        ]:
+            stmt = _assignment(cls.body, "_fields")
+            for name in ast.literal_eval(stmt.value):
+                yield stmt.lineno, cls.name, name
+
+
+def test_record_fields_are_read():
     trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     read = {
         node.attr
@@ -76,16 +95,14 @@ def test_dataclass_fields_are_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = [
-        f"{name}:{stmt.lineno}: {cls.name}.{stmt.target.id}"
+    fields = [
+        (f"{name}:{line}: {cls}.{field}", field)
         for name, tree in sorted(trees.items())
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in read
+        for line, cls, field in _record_fields(tree)
     ]
-    assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
+    assert fields, "no record class found"
+    unread = [where for where, field in fields if field not in read]
+    assert not unread, "record fields never read:\n" + "\n".join(unread)
 
 
 def test_no_module_calls_object_setattr():
@@ -122,3 +139,24 @@ def test_lines_fit_in_88_columns():
         if len(line) > 88
     ]
     assert not long_lines, "lines over 88 columns:\n" + "\n".join(long_lines)
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_module():
+    # -S keeps site hooks from loading modules before the baseline is taken
+    code = ("import sys; before = set(sys.modules); import nsakit.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    # the benchmark tracer reads each of these from sys.modules
+    layers = ast.literal_eval(
+        _assignment(ast.parse(TRACER.read_text()).body, "MODULES").value
+    )
+    assert layers
+    assert {f"nsakit.{m}" for m in layers} <= added
+    assert not added & {"dataclasses", "inspect"}
