@@ -53,9 +53,12 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
                 da = atom_rule(atom)
             if da is None or da.is_zero:
                 continue
-            lowered = ((atom, exp - 1),) if exp != 1 else ()
-            rest = factors[:i] + lowered + factors[i + 1:]
-            _accumulate_product(data, rest, coeff * exp, da.terms)
+            if exp == 1:
+                rest, scale = factors[:i] + factors[i + 1:], coeff
+            else:
+                rest = factors[:i] + ((atom, exp - 1),) + factors[i + 1:]
+                scale = coeff * exp
+            _accumulate_product(data, rest, scale, da.terms)
     return DiffExpr._from_dict(data)
 
 
@@ -64,9 +67,12 @@ def _partial_rule(by: Union[str, Jet]) -> Callable[[Atom], Optional[DiffExpr]]:
     """Explicit partial derivative along ``by`` ("t", "x" or a jet) on atoms:
     a jet is 1 when it is ``by``, phi goes to its partial along t, x or the
     jet u, and a coefficient function of t goes along t to its declared rule
-    (the bare CoeffFn(name) in it stands for the atom) or its next prime."""
+    (the bare CoeffFn(name) in it stands for the atom) or its next prime.
+    Each atom's result is kept: atoms are hashable values, so the memo is
+    bounded by the number of distinct atoms."""
     phi_coord = "u" if by == _U else by if isinstance(by, str) else None
 
+    @cache
     def rule(atom: Atom) -> Optional[DiffExpr]:
         if isinstance(atom, Jet):
             return _ONE if atom == by else None
@@ -86,10 +92,12 @@ def _partial_rule(by: Union[str, Jet]) -> Callable[[Atom], Optional[DiffExpr]]:
 @cache
 def _total_rule(direction: str) -> Callable[[Atom], Optional[DiffExpr]]:
     """D = the explicit partial + the jet chain, on atoms: a jet goes to the
-    next jet, and phi adds phi_u * u_t or phi_u * u_x."""
+    next jet, and phi adds phi_u * u_t or phi_u * u_x; kept per atom, as
+    in ``_partial_rule``."""
     partial, partial_u = _partial_rule(direction), _partial_rule(_U)
     du = DiffExpr.from_atom(_U.bump(direction))
 
+    @cache
     def rule(atom: Atom) -> Optional[DiffExpr]:
         if isinstance(atom, Jet):
             return DiffExpr.from_atom(atom.bump(direction))
@@ -112,22 +120,22 @@ def total_derivative(
     return out
 
 
-def derivative_table(base: DiffExpr) -> Callable[[int, int], DiffExpr]:
-    """Memoized (m, k) -> D_t^m D_x^k base.
+def derivative(table: dict, m: int, k: int) -> DiffExpr:
+    """D_t^m D_x^k of ``table[0, 0]``, kept in ``table``.
 
-    D_x steps are taken first; D_t and D_x commute on this algebra, so the
-    order cannot change a result.
+    ``table`` is plain data, a dict from (m, k) to the derivative, so a
+    table stored on an Equation pickles and copies with it.  D_x steps are
+    taken first; D_t and D_x commute on this algebra, so the order cannot
+    change a result.
     """
-
-    @cache
-    def deriv(m: int, k: int) -> DiffExpr:
+    d = table.get((m, k))
+    if d is None:
         if m:
-            return total_derivative(deriv(m - 1, k), "t")
-        if k:
-            return total_derivative(deriv(0, k - 1), "x")
-        return base
-
-    return deriv
+            d = total_derivative(derivative(table, m - 1, k), "t")
+        else:
+            d = total_derivative(derivative(table, 0, k - 1), "x")
+        table[m, k] = d
+    return d
 
 
 def partial_jet(e: DiffExpr, coordinate: Jet) -> DiffExpr:
@@ -187,8 +195,10 @@ def substitute_dependent(e: DiffExpr, dep: str, phi: DiffExpr) -> DiffExpr:
     phi = as_expr(phi)
     if not phi.free_of_dep(dep):
         raise SubstitutionError(f"substitution for {dep} must not depend on {dep}")
-    deriv = derivative_table(phi)
-    return e.subs_atoms({j: deriv(j.t_order, j.x_order) for j in e.jets(dep)})
+    table = {(0, 0): phi}
+    return e.subs_atoms(
+        {j: derivative(table, j.t_order, j.x_order) for j in e.jets(dep)}
+    )
 
 
 def substitute_symbols(e: DiffExpr, values: dict) -> DiffExpr:
@@ -247,12 +257,33 @@ class Equation(Record):
             raise EquationFormError(f"equation must contain {dt}")
         self._set(lhs, dep)
 
+    # The cached properties below are computed once per Equation and stored
+    # in __dict__ outside the record's fields, so equality, hashing and repr
+    # ignore them; each is plain data, so the equation still pickles.
+
+    @cached_property
+    def lagrangian_brackets(self) -> tuple[DiffExpr, ...]:
+        """The x-brackets (A_0, ..., A_n) of the formal Lagrangian L = v*F
+        over its partials dL/du_kx, as ``brackets`` builds them."""
+        row = {
+            j.x_order: p
+            for j, p in jet_partials(formal_lagrangian(self), "u")
+            if not j.t_order
+        }
+        return tuple(brackets(row, "x"))
+
     @cached_property
     def adjoint(self) -> DiffExpr:
-        """F* = delta L / delta u of the formal Lagrangian, computed once per
-        Equation value and stored outside the record's fields, so equality
-        and hashing are unaffected."""
-        return euler(formal_lagrangian(self), "u")
+        """F* = delta L / delta u of the formal Lagrangian.  L has one jet
+        with a t-derivative, u_t, and dL/du_t = v, so the Euler operator's
+        t-bracket leaves F* = A_0 - v_t."""
+        return self.lagrangian_brackets[0] - jet("v", 1, 0)
+
+    @cached_property
+    def _rhs_derivatives(self) -> dict:
+        """The ``derivative`` table of ``solved_rhs``, shared by every
+        reduce_mod on this equation."""
+        return {(0, 0): self.solved_rhs}
 
     @property
     def solved_rhs(self) -> DiffExpr:
@@ -318,11 +349,11 @@ def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
     for eq in eqs:
         if eq.dep in tables:
             raise UnsupportedInputError(f"two equations govern {eq.dep}")
-        tables[eq.dep] = derivative_table(eq.solved_rhs)
+        tables[eq.dep] = eq._rhs_derivatives
     out = as_expr(e)
     while True:
         mapping = {
-            j: tables[j.dep](j.t_order - 1, j.x_order)
+            j: derivative(tables[j.dep], j.t_order - 1, j.x_order)
             for j in out.jets()
             if j.dep in tables and j.t_order >= 1
         }
@@ -341,11 +372,12 @@ def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:
     if eq.dep != "u":
         raise UnsupportedInputError("symmetry action is defined for u-equations")
     f = eq.lhs
-    dw = derivative_table(characteristic(sym))
+    dw = {(0, 0): characteristic(sym)}
     action = DiffExpr.sum(
         chain(
             (sym.tau * total_derivative(f, "t"), sym.xi * total_derivative(f, "x")),
-            (dw(j.t_order, j.x_order) * p for j, p in jet_partials(f, "u")),
+            (derivative(dw, j.t_order, j.x_order) * p
+             for j, p in jet_partials(f, "u")),
         )
     )
     return reduce_mod(action, [eq])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -224,9 +225,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> None:
+    """Write the report to stdout.  A reader that has gone away is no
+    error: stdout then points at os.devnull, so that the flush at
+    interpreter exit stays silent too."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _report_error(args, message: str, code: int) -> int:
     if getattr(args, "json", False):
-        print(json.dumps({"status": "error", "message": message}, indent=2))
+        _write(json.dumps({"status": "error", "message": message}, indent=2) + "\n")
     else:
         print(f"error: {message}", file=sys.stderr)
     return code
@@ -245,9 +259,9 @@ def main(argv=None) -> int:
             code = _report_error(args, str(exc), 2)
         else:
             if args.json:
-                print(json.dumps(fields, indent=2))
+                _write(json.dumps(fields, indent=2) + "\n")
             else:
-                sys.stdout.write(_key_values(fields) if text is None else text)
+                _write(_key_values(fields) if text is None else text)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return code

@@ -8,9 +8,10 @@ vector
     C^x = xi*L + sum_{k<n} D_x^k(W) * B_k,
 
 with characteristic W = eta - tau*u_t - xi*u_x and brackets B_k, the
-alternating sums of D_x^(m-k-1) dL/du_mx over k < m <= n, which
-calculus.brackets builds as B_k = dL/du_(k+1)x - D_x B_(k+1) from the
-top bracket B_(n-1) = dL/du_nx.  The raw components retain v and
+alternating sums of D_x^(m-k-1) dL/du_mx over k < m <= n.  These are
+the x-brackets A_(k+1) of the Lagrangian, A_k = dL/du_kx - D_x A_(k+1),
+which the equation builds once (Equation.lagrangian_brackets; A_0 gives
+its adjoint as well).  The raw components retain v and
 vanish in divergence against the pair (F, F*).  localize only substitutes
 v = phi(x, t, u), and verify_divergence certifies the result: it is
 conserved on F alone when phi passes nsa_check.  A density normalization
@@ -30,12 +31,10 @@ from .adjoint import Substitution
 from .calculus import (
     Equation,
     PointSymmetry,
-    brackets,
     characteristic,
-    derivative_table,
+    derivative,
     euler,
     formal_lagrangian,
-    partial_jet,
     reduce_mod,
     substitute_dependent,
     total_derivative,
@@ -66,13 +65,19 @@ class ConservedVector(Record):
 
 
 def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
-    """Raw conserved vector of the formal Lagrangian; v is retained."""
+    """Raw conserved vector of the formal Lagrangian; v is retained.
+
+    dL/du_t = v, since u_t is the bare leading term of F, and the flux
+    brackets B_k are the equation's Lagrangian x-brackets A_(k+1)."""
     lagrangian = formal_lagrangian(eq)
     w = characteristic(sym)
-    c0 = sym.tau * lagrangian + w * partial_jet(lagrangian, Jet("u", 1, 0))
-    row = {k: partial_jet(lagrangian, Jet("u", 0, k + 1)) for k in range(eq.order)}
-    dw = derivative_table(w)
-    pieces = [dw(0, k) * b for k, b in enumerate(brackets(row, "x")) if b]
+    c0 = sym.tau * lagrangian + w * jet("v")
+    dw = {(0, 0): w}
+    pieces = [
+        derivative(dw, 0, k) * b
+        for k, b in enumerate(eq.lagrangian_brackets[1:])
+        if b
+    ]
     return ConservedVector(c0, DiffExpr.sum([sym.xi * lagrangian, *pieces]))
 
 

@@ -10,8 +10,9 @@ factors are sorted by atom (an atom's tuple value is its place in the
 order), like monomials are merged, zero coefficients and zero exponents are
 dropped.  Equality, hashing and printing are therefore structural and
 deterministic.  ``_accumulate_product`` is the one place where the
-factors of two monomials are merged and sorted; every product, derivation
-and substitution builds its monomials through it.
+factors of two monomials are merged; every product, derivation and
+substitution builds its monomials through it, except a number times an
+expression, which only scales the coefficients.
 
 There are no floating point numbers anywhere and no automatic rewriting
 beyond ring arithmetic: ln stays opaque, coefficient functions stay
@@ -21,6 +22,7 @@ symbolic.  Non-integer exponents and inverses of genuine sums are errors.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -46,17 +48,34 @@ def _canonical(q: Coeff) -> Coeff:
 
 def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
     """Add the monomial c1*f1 times each (factors, coeff) of ``terms`` into
-    ``data``, a dict from factors to coefficient awaiting ``_from_dict``."""
-    base = dict(f1)
+    ``data``, a dict from factors to coefficient awaiting ``_from_dict``.
+
+    Each factor of a term goes into the sorted f1 at its bisection point,
+    so a one-factor term, which every jet derivative is, costs one
+    bisection and no sort.  A key's first coefficient is stored as it is,
+    and a factor 1 is never multiplied, so the only rational arithmetic
+    left is the real one.
+    """
+    unit = c1.__class__ is int and c1 == 1
     for f2, c2 in terms:
-        if f2:
-            merged = dict(base)
-            for atom, exp in f2:
-                merged[atom] = merged.get(atom, 0) + exp
-            key = tuple(sorted(it for it in merged.items() if it[1]))
+        key = f1
+        for atom, exp in f2:
+            # (atom,) sorts before every (atom, exp), so i is atom's slot
+            i = bisect_left(key, (atom,))
+            if i < len(key) and key[i][0] == atom:
+                exp += key[i][1]
+                rest = key[i + 1:]
+                key = key[:i] + ((atom, exp),) + rest if exp else key[:i] + rest
+            else:
+                key = key[:i] + ((atom, exp),) + key[i:]
+        if unit:
+            c = c2
+        elif c2.__class__ is int and c2 == 1:
+            c = c1
         else:
-            key = f1
-        data[key] = data.get(key, 0) + c1 * c2
+            c = c1 * c2
+        old = data.get(key)
+        data[key] = c if old is None else old + c
 
 
 class DiffExpr:
@@ -93,7 +112,8 @@ class DiffExpr:
         data: dict = {}
         for s in summands:
             for f, c in as_expr(s)._terms:
-                data[f] = data.get(f, 0) + c
+                old = data.get(f)
+                data[f] = c if old is None else old + c
         return cls._from_dict(data)
 
     @classmethod
@@ -203,12 +223,23 @@ class DiffExpr:
             return NotImplemented
         if not self._terms or not o._terms:
             return _ZERO_EXPR
+        if len(o._terms) == 1 and not o._terms[0][0]:
+            return self._scaled(o._terms[0][1])
+        if len(self._terms) == 1 and not self._terms[0][0]:
+            return o._scaled(self._terms[0][1])
         data: dict = {}
         for f1, c1 in self._terms:
             _accumulate_product(data, f1, c1, o._terms)
         return DiffExpr._from_dict(data)
 
     __rmul__ = __mul__
+
+    def _scaled(self, q: Coeff) -> "DiffExpr":
+        """q*self for a nonzero number q.  Factor keys are unique, so the
+        terms sort by their factors alone and scaling keeps their order."""
+        if q == 1:
+            return self
+        return DiffExpr._raw(tuple((f, _canonical(c * q)) for f, c in self._terms))
 
     def _monomial_inverse(self) -> "DiffExpr":
         if len(self._terms) != 1:
@@ -299,7 +330,8 @@ class DiffExpr:
             key = tuple(it for it in factors if it[0] in chosen)
             rest = tuple(it for it in factors if it[0] not in chosen)
             data = groups.setdefault(key, {})
-            data[rest] = data.get(rest, 0) + coeff
+            old = data.get(rest)
+            data[rest] = coeff if old is None else old + coeff
         out = []
         for key in sorted(groups):
             coeff_expr = DiffExpr._from_dict(groups[key])

@@ -5,7 +5,7 @@ Every suite seeds its own random.Random, so failures reproduce exactly.
 
 from fractions import Fraction
 
-from nsakit import DiffExpr, ln, parse_document
+from nsakit import DiffExpr, Equation, ln, parse_document
 from nsakit.atoms import CoeffFn, IndepVar, Jet, Param, UnknownFn
 
 # standard declarations assumed by round-trip parsing of generated text
@@ -52,6 +52,9 @@ ROUNDTRIP_ATOMS = (
 
 # pool for variational-calculus properties (kept small for speed)
 CALCULUS_ATOMS = (T, X, P, A_FN, F_POW, U, U_X, U_XX, PHI, PHI_X, PHI_U)
+
+# pool for the right sides of generated evolution equations
+EVOLUTION_ATOMS = (T, X, P, A_FN, F_POW, U, U_X, U_XX, U_XXX)
 
 # pool for the substitution/derivative exchange property
 EXCHANGE_ATOMS = (T, X, P, A_FN, U, U_X, U_XX, V, V_X, V_XX)
@@ -117,3 +120,10 @@ def random_point_function(rng):
         )
         if not e.is_zero:
             return e
+
+
+def random_equation(rng):
+    """u_t + h = 0 with a random h over EVOLUTION_ATOMS and logs that
+    differentiate."""
+    h = random_expr(rng, atoms=EVOLUTION_ATOMS, log_args=DIFFERENTIABLE_LOG_ARGS)
+    return Equation(DiffExpr.from_atom(U_T) + h)

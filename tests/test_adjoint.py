@@ -10,6 +10,7 @@ from nsakit import (
     Classification,
     DiffExpr,
     Equation,
+    PointSymmetry,
     Substitution,
     adjoint_equation,
     adjoint_system,
@@ -18,6 +19,7 @@ from nsakit import (
     determining_system_detailed,
     euler,
     formal_lagrangian,
+    ibragimov_vector,
     ln,
     load_fixture,
     nsa_check,
@@ -100,22 +102,27 @@ def test_adjoint_system_pairs_equations():
 
 
 def test_adjoint_is_computed_once_per_equation(monkeypatch):
+    """F* and the flux share one construction of the Lagrangian brackets,
+    and the euler operator, which would build its own, is never called."""
     eq = parse_document("param p; u_t + u*u_xxx + p*u_x^2 = 0;").equations[0]
-    euler = calculus.euler
+    brackets = calculus.brackets
     calls = []
 
-    def counting(e, dep="u"):
-        calls.append(dep)
-        return euler(e, dep)
+    def counting(partials, direction):
+        calls.append(direction)
+        return brackets(partials, direction)
 
-    monkeypatch.setattr(calculus, "euler", counting)
+    monkeypatch.setattr(calculus, "brackets", counting)
     fstar = adjoint_equation(eq)
     nsa_check(eq, Substitution(U))
     nsa_check(eq, Substitution(X))
     determining_system(eq)
     assert adjoint_system(eq)[1].lhs == -fstar
-    assert calls == ["u"]
+    xtrans = PointSymmetry(DiffExpr.zero(), DiffExpr.one(), DiffExpr.zero())
+    ibragimov_vector(eq, xtrans)
+    assert calls == ["x"]
     assert adjoint_equation(eq) is fstar
+    assert fstar == euler(formal_lagrangian(eq), "u")
     # the stored F* is no part of the equation's identity
     fresh = Equation(eq.lhs)
     assert eq == fresh
@@ -287,14 +294,23 @@ def test_nsa_residual_is_the_euler_operator_of_phi_times_f():
         eq = doc.equations[0]
         cases += [(eq, phi), (eq, doc.substitutions[0])]
     rng = random.Random(20121)
-    atoms = (genexpr.T, genexpr.X, genexpr.P, genexpr.A_FN, genexpr.F_POW,
-             genexpr.U, genexpr.U_X, genexpr.U_XX, genexpr.U_XXX)
     for _ in range(200):
-        h = genexpr.random_expr(
-            rng, atoms=atoms, log_args=genexpr.DIFFERENTIABLE_LOG_ARGS
-        )
-        eq = Equation(jet(1, 0) + h)
+        eq = genexpr.random_equation(rng)
         cases += [(eq, phi), (eq, genexpr.random_point_function(rng))]
     for eq, f in cases:
         residual = adjoint._nsa_residual(eq, f, partial_coord(f, "u"))
         assert residual == euler(f * eq.lhs, "u"), (eq.lhs, f)
+
+
+def test_stored_adjoint_is_the_euler_operator_of_the_lagrangian():
+    """F* = A_0 - v_t, read off the equation's Lagrangian brackets, is the
+    full Euler operator of L = v*F on the fixtures and 200 seeded
+    equations."""
+    eqs = [
+        load_fixture(path.name).equations[0]
+        for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir())
+    ]
+    rng = random.Random(2007)
+    eqs += [genexpr.random_equation(rng) for _ in range(200)]
+    for eq in eqs:
+        assert eq.adjoint == euler(formal_lagrangian(eq), "u"), eq.lhs

@@ -1,13 +1,21 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from genexpr import PREAMBLE
 
+import nsakit
 from nsakit import load_fixture, print_document
 from nsakit.cli import main
+
+PACKAGE = Path(nsakit.__file__).parent
 
 
 def run(capsys, *argv):
@@ -222,6 +230,71 @@ def test_fmt_prints_the_deepest_nesting_accepted(capsys, doc_path):
     assert (code, out, err) == (0, f"u_x*{nested} + u_t = 0;\n", "")
     code, again, _ = run(capsys, "fmt", doc_path(out, "again.nsa"))
     assert (code, again) == (0, out)
+
+
+def _python(*argv, **options):
+    """A fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    return subprocess.Popen([sys.executable, *argv], env=env, **options)
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(doc_path):
+    """A reader that closes stdout after one byte, as ``| head -c 1`` does,
+    is no error: nothing on stderr, and the command's own exit code.  The
+    large document prints about 100 kB, more than a pipe holds, so the
+    writer is still writing when the reader leaves."""
+    body = " + ".join(f"{i}{10**30 + 7}/7*x^{i}*u_x" for i in range(1, 2001))
+    big = doc_path(f"u_t + {body} = 0;\n", "big.nsa")
+    for argv in (["catalog", "verify", "--json"], ["fmt", big, "--json"],
+                 ["fmt", big]):
+        proc = _python("-m", "nsakit.cli", *argv, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, bufsize=0)
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1, 2, 3), argv
+        assert b"Traceback" not in err and b"Error" not in err, (argv, err)
+
+
+# each process prints {argv: [exit code, stdout]} for the commands it is given
+_RUN_IN_ORDER = """
+import contextlib, io, json, sys
+from nsakit.cli import main
+out = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        out[" ".join(argv)] = [main(argv), buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_outputs_do_not_depend_on_the_order_of_commands(fixture_path):
+    """The per-atom derivative memo and the per-equation caches only store
+    values: two interpreters running the same commands in opposite orders
+    print the same thing for each."""
+    commands = [["catalog", "verify", "W31"]]
+    for name in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        doc = load_fixture(name.name)
+        path = fixture_path(name.name)
+        commands += [["adjoint", path], ["check-nsa", path], ["determining", path]]
+        for sym in doc.symmetries:
+            commands.append(
+                ["conslaw", path, "--symmetry", sym.name, "--normalize", "--json"]
+            )
+    outputs = []
+    for order in (commands, commands[::-1]):
+        proc = _python("-c", _RUN_IN_ORDER, json.dumps(order),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outputs.append(json.loads(out))
+    forward, backward = outputs
+    assert len(forward) == len(commands)
+    assert forward == backward
 
 
 def test_runs_are_byte_deterministic(capsys, fixture_path):

@@ -2,9 +2,17 @@
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from genexpr import A_FN, P as P_ATOM, U_T as U_T_ATOM, random_expr
+from genexpr import (
+    A_FN,
+    P as P_ATOM,
+    U_T as U_T_ATOM,
+    random_equation,
+    random_expr,
+    random_point_function,
+)
 
 from nsakit import (
     ConservedVector,
@@ -19,6 +27,7 @@ from nsakit import (
     ibragimov_vector,
     is_trivial,
     ln,
+    load_fixture,
     localize,
     parse_document,
     parse_expression,
@@ -30,7 +39,7 @@ from nsakit import (
 )
 from nsakit import conslaw
 from nsakit.atoms import IndepVar, Jet, Log
-from nsakit.calculus import derivative_table
+from nsakit.calculus import brackets, derivative
 from nsakit.errors import NsaError, UnsupportedInputError
 
 T = DiffExpr.from_atom(IndepVar("t"))
@@ -315,17 +324,18 @@ def _reference_flux(eq, sym):
     """C^x as the alternating double sum over dL/du_mx, m = k+1..n."""
     lagrangian = formal_lagrangian(eq)
     n = eq.order
-    dw = derivative_table(characteristic(sym))
+    dw = {(0, 0): characteristic(sym)}
     dl = {
-        m: derivative_table(partial_jet(lagrangian, Jet("u", 0, m)))
+        m: {(0, 0): partial_jet(lagrangian, Jet("u", 0, m))}
         for m in range(1, n + 1)
     }
     pieces = [sym.xi * lagrangian]
     for k in range(n):
         bracket = DiffExpr.sum(
-            (-1) ** (m - k - 1) * dl[m](0, m - k - 1) for m in range(k + 1, n + 1)
+            (-1) ** (m - k - 1) * derivative(dl[m], 0, m - k - 1)
+            for m in range(k + 1, n + 1)
         )
-        pieces.append(dw(0, k) * bracket)
+        pieces.append(derivative(dw, 0, k) * bracket)
     return DiffExpr.sum(pieces)
 
 
@@ -478,6 +488,33 @@ def test_flux_recurrence_matches_the_alternating_double_sum(order):
         PointSymmetry(order * T, X, -U),  # scaling
     ):
         assert ibragimov_vector(eq, sym).c1 == _reference_flux(eq, sym), sym
+
+
+def _per_call_vector(eq, sym):
+    """The raw vector with dL/du_t and the flux brackets over dL/du_(k+1)x,
+    k below the equation's order, built on every call."""
+    lagrangian = formal_lagrangian(eq)
+    w = characteristic(sym)
+    c0 = sym.tau * lagrangian + w * partial_jet(lagrangian, Jet("u", 1, 0))
+    row = {k: partial_jet(lagrangian, Jet("u", 0, k + 1)) for k in range(eq.order)}
+    dw = {(0, 0): w}
+    pieces = [derivative(dw, 0, k) * b for k, b in enumerate(brackets(row, "x")) if b]
+    return ConservedVector(c0, DiffExpr.sum([sym.xi * lagrangian, *pieces]))
+
+
+def test_vector_from_the_stored_brackets_matches_the_per_call_construction():
+    cases = []
+    for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        doc = load_fixture(path.name)
+        cases += [(doc.equations[0], sym) for sym in doc.symmetries]
+    assert len(cases) >= 15
+    rng = random.Random(2011)
+    for _ in range(200):
+        eq = random_equation(rng)
+        parts = [random_point_function(rng) for _ in range(3)]
+        cases.append((eq, PointSymmetry(*parts)))
+    for eq, sym in cases:
+        assert ibragimov_vector(eq, sym) == _per_call_vector(eq, sym), (eq, sym)
 
 
 # is_trivial decides by euler(C0) = 0 and a zero divergence; the reference

@@ -13,6 +13,8 @@ from genexpr import (
     CALCULUS_ATOMS,
     DIFFERENTIABLE_LOG_ARGS,
     F_POW,
+    ROUNDTRIP_ATOMS,
+    ROUNDTRIP_LOG_ARGS,
     U_X as U_X_ATOM,
     random_expr,
 )
@@ -31,6 +33,7 @@ from nsakit import (
 )
 from nsakit.atoms import ORDER_CAP, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from nsakit.errors import CollectError, ExpressionError, OrderCapError
+from nsakit.expr import _accumulate_product
 
 T = DiffExpr.from_atom(IndepVar("t"))
 X = DiffExpr.from_atom(IndepVar("x"))
@@ -558,3 +561,70 @@ def test_numbers_hash_like_the_numbers_they_equal():
     assert len({DiffExpr.number(3), 3, Fraction(3)}) == 1
     # a non-constant expression is still keyed by its terms
     assert {U + 3: "a"}.get(3) is None
+
+
+# the product kernel's fast paths, each against the general path it skips
+
+MERGE_ATOMS = ROUNDTRIP_ATOMS + tuple(Log(arg) for arg in ROUNDTRIP_LOG_ARGS)
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(2, 3))
+
+
+def _dict_merge(f1, f2):
+    """The factors of a product by a dict merge and a sort."""
+    merged = dict(f1)
+    for atom, exp in f2:
+        merged[atom] = merged.get(atom, 0) + exp
+    return tuple(sorted(it for it in merged.items() if it[1]))
+
+
+def _random_factors(rng, size):
+    atoms = rng.sample(MERGE_ATOMS, size)
+    return tuple(sorted((a, rng.choice((-3, -2, -1, 1, 2, 3))) for a in atoms))
+
+
+def test_one_factor_merge_matches_the_dict_merge():
+    rng = random.Random(20120217)
+    keys = []
+    for _ in range(3000):
+        f1 = _random_factors(rng, rng.randint(0, 5))
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            if f1 and rng.random() < 0.5:
+                # an atom of f1: its exponent cancels, doubles or moves
+                atom, exp = rng.choice(f1)
+                f2 = ((atom, rng.choice((-exp, exp, 1))),)
+            else:
+                f2 = _random_factors(rng, rng.choice((0, 1, 1, 1, 2, 3)))
+            terms.append((f2, rng.choice(COEFFS)))
+        c1 = rng.choice(COEFFS)
+        got = {}
+        _accumulate_product(got, f1, c1, tuple(terms))
+        want = {}
+        for f2, c2 in terms:
+            key = _dict_merge(f1, f2)
+            want[key] = want.get(key, 0) + c1 * c2
+        assert list(got.items()) == list(want.items()), (f1, c1, terms)
+        keys += [(f1, key) for key in got]
+    # the corpus reaches every branch and every kind of atom
+    assert any(len(key) < len(f1) for f1, key in keys)
+    assert any(len(key) == len(f1) + 1 for f1, key in keys)
+    atoms = {atom for f1, _ in keys for atom, _exp in f1}
+    assert any(isinstance(a, Log) for a in atoms)
+    assert any(isinstance(a, CoeffFn) and a.rule is not None for a in atoms)
+
+
+def test_scaling_by_a_number_equals_the_general_product():
+    rng = random.Random(20120218)
+    for _ in range(300):
+        e = random_expr(rng, log_args=DIFFERENTIABLE_LOG_ARGS)
+        q = rng.choice(COEFFS)
+        n = DiffExpr.number(q)
+        products = {"*": {}, "/": {}}
+        for f1, c1 in e.terms:
+            _accumulate_product(products["*"], f1, c1, n.terms)
+            _accumulate_product(products["/"], f1, c1, (n**-1).terms)
+        times, over = (DiffExpr._from_dict(d).terms for d in products.values())
+        for got, want in ((e * q, times), (q * e, times), (e * n, times),
+                          (n * e, times), (e / q, over), (e / n, over)):
+            assert got.terms == want
+            assert [type(c) for _, c in got.terms] == [type(c) for _, c in want]

@@ -18,8 +18,12 @@ from nsakit import (
     Provenance,
     SourceDocument,
     Substitution,
+    ibragimov_vector,
     load_fixture,
+    nsa_check,
     parse_expression,
+    reduce_mod,
+    total_derivative,
 )
 from nsakit.catalog import ClaimResult, EntryReport
 
@@ -141,6 +145,24 @@ def test_round_trips_keep_a_cached_adjoint():
         assert hash(twin) == hash(eq)
         assert "adjoint" in vars(twin)
         assert twin.adjoint == fstar
+
+
+def test_round_trips_keep_every_filled_cache():
+    doc = load_fixture("W33.nsa")
+    eq = doc.equations[0]
+    vec = ibragimov_vector(eq, doc.symmetries[0])
+    reduce_mod(total_derivative(vec.c0, "t"), eq)
+    assert nsa_check(eq, Substitution(doc.substitutions[0])).holds
+    cached = {name: vars(eq)[name]
+              for name in ("adjoint", "lagrangian_brackets", "_rhs_derivatives")}
+    assert len(cached["_rhs_derivatives"]) > 1
+    fresh = Equation(eq.lhs)
+    for twin in (pickle.loads(pickle.dumps(eq)), copy.deepcopy(eq)):
+        assert twin == eq == fresh
+        assert hash(twin) == hash(eq) == hash(fresh)
+        assert repr(twin) == repr(eq) == repr(fresh)
+        assert {name: vars(twin)[name] for name in cached} == cached
+        assert ibragimov_vector(twin, doc.symmetries[0]) == vec
 
 
 def test_defaults_match_the_constructor_signature():
