@@ -11,7 +11,6 @@ variables, with no search.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from .calculus import (
     Equation,
@@ -52,7 +51,7 @@ class Substitution(Record):
         _require_point_function(phi, "phi", SubstitutionError)
         if phi.is_zero:
             raise SubstitutionError("phi = 0 is excluded")
-        self._set(phi)
+        super().__init__(phi)
 
     def __str__(self) -> str:
         return f"phi = {self.phi}"
@@ -99,16 +98,6 @@ class NsaReport(Record):
     _fields = (
         "holds", "multiplier", "residual", "classification", "nonzero_partials",
     )
-
-    def __init__(
-        self,
-        holds: bool,
-        multiplier: DiffExpr,
-        residual: DiffExpr,
-        classification: Optional[Classification],
-        nonzero_partials: tuple[str, ...],
-    ):
-        self._set(holds, multiplier, residual, classification, nonzero_partials)
 
     def __str__(self) -> str:
         verdict = "holds" if self.holds else "fails"

@@ -255,7 +255,7 @@ class Equation(Record):
             seen_plain = True
         if not seen_plain:
             raise EquationFormError(f"equation must contain {dt}")
-        self._set(lhs, dep)
+        super().__init__(lhs, dep)
 
     # The cached properties below are computed once per Equation and stored
     # in __dict__ outside the record's fields, so equality, hashing and repr
@@ -315,7 +315,7 @@ class PointSymmetry(Record):
             _require_point_function(
                 component, f"symmetry component {label}", UnsupportedInputError
             )
-        self._set(tau, xi, eta, name)
+        super().__init__(tau, xi, eta, name)
 
     def __str__(self) -> str:
         return f"tau = {self.tau}; xi = {self.xi}; eta = {self.eta}"

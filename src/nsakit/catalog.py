@@ -9,8 +9,6 @@ scratch and flags any reported component that fails the divergence check.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .adjoint import (
     Classification,
     Substitution,
@@ -44,51 +42,40 @@ class CatalogEntry(Record):
     """
 
     _fields = (
-        "id", "fixture", "classification", "special_cases",
-        "refuted_substitutions", "refuted_symmetries", "witness",
-        "verified_vector", "reported_residual", "trivial_substitutions",
-        "trivial_instance",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        fixture: str,
-        classification: Classification,
+        "id", "fixture", "classification",
         # ((symbol, value), ...) assignments with the classification
         # expected there
-        special_cases: tuple = (),
+        "special_cases",
         # (phi text, expected residual text) for substitutions that must fail
-        refuted_substitutions: tuple = (),
+        "refuted_substitutions",
         # inline symmetry text that must fail the prolongation check
-        refuted_symmetries: tuple = (),
+        "refuted_symmetries",
         # (symbol, value) assignments under which each refutation residual
         # must stay nonzero
-        witness: tuple = (),
+        "witness",
         # divergence-verified (c0, c1) text for the fixture's symmetry and phi
-        verified_vector: Optional[tuple] = None,
+        "verified_vector",
         # expected divergence residual text of the fixture's reported
         # conserved block, "0" when it passes; set exactly when the fixture
         # has one
-        reported_residual: Optional[str] = None,
+        "reported_residual",
         # substitutions under which the construction only yields trivial
         # vectors
-        trivial_substitutions: tuple = (),
+        "trivial_substitutions",
         # fixture of a special instance whose vector must come out trivial
-        trivial_instance: str = "",
-    ):
-        self._set(
-            id, fixture, classification, special_cases, refuted_substitutions,
-            refuted_symmetries, witness, verified_vector, reported_residual,
-            trivial_substitutions, trivial_instance,
-        )
+        "trivial_instance",
+    )
+    _defaults = {
+        "special_cases": (), "refuted_substitutions": (),
+        "refuted_symmetries": (), "witness": (), "verified_vector": None,
+        "reported_residual": None, "trivial_substitutions": (),
+        "trivial_instance": "",
+    }
 
 
 class ClaimResult(Record):
     _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self._set(name, passed, detail)
+    _defaults = {"detail": ""}
 
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -98,9 +85,6 @@ class ClaimResult(Record):
 
 class EntryReport(Record):
     _fields = ("entry_id", "claims")
-
-    def __init__(self, entry_id: str, claims: tuple):
-        self._set(entry_id, claims)
 
     @property
     def ok(self) -> bool:

@@ -78,8 +78,10 @@ def _symmetry(doc: SourceDocument, text: str) -> PointSymmetry:
     return doc.symmetry(text)
 
 
-def _verdict(ok: bool) -> str:
-    return "verified" if ok else "refuted"
+def _verdict(ok: bool, fields: dict) -> tuple:
+    """A check's handler result: exit code 0 or 1, and ``fields`` led by
+    status verified or refuted, printed as ``key: value`` lines."""
+    return (0 if ok else 1), {"status": "verified" if ok else "refuted", **fields}, None
 
 
 def _key_values(fields: dict) -> str:
@@ -102,14 +104,13 @@ def _cmd_check_nsa(args, doc):
     report = nsa_check(_equation(doc), _substitution(doc, args.phi))
     got = report.classification
     fields = {
-        "status": _verdict(report.holds),
         "lambda": str(report.multiplier),
         "residual": str(report.residual),
         "classification": got.value if got else "none",
     }
     if report.nonzero_partials:
         fields["nonzero_partials"] = ", ".join(report.nonzero_partials)
-    return (0 if report.holds else 1), fields, None
+    return _verdict(report.holds, fields)
 
 
 def _cmd_determining(args, doc):
@@ -128,34 +129,31 @@ def _cmd_conslaw(args, doc):
     if args.normalize:
         vec = density_normalize(vec, eq)
     residual = verify_divergence(vec, (eq,))
-    fields = {
-        "status": _verdict(residual.is_zero),
+    return _verdict(residual.is_zero, {
         "c0": str(vec.c0),
         "c1": str(vec.c1),
         "transfer": str(vec.provenance.transfer),
         "divergence_residual": str(residual),
-    }
-    return (0 if residual.is_zero else 1), fields, None
+    })
 
 
 def _cmd_check_symmetry(args, doc):
     eq = _equation(doc)
     action = prolonged_action(_symmetry(doc, args.symmetry), eq)
-    fields = {"status": _verdict(action.is_zero), "residual": str(action)}
-    return (0 if action.is_zero else 1), fields, None
+    return _verdict(action.is_zero, {"residual": str(action)})
 
 
 def _cmd_catalog_verify(args, doc):
     ids = [args.id] if args.id is not None else [e.id for e in catalog_entries()]
     reports = [verify_entry(entry_id) for entry_id in ids]
-    ok = all(r.ok for r in reports)
     entries = [
         {"id": r.entry_id, "ok": r.ok,
          "claims": [{f: getattr(c, f) for f in c._fields} for c in r.claims]}
         for r in reports
     ]
-    text = "".join(f"{r}\n" for r in reports) + f"status: {_verdict(ok)}\n"
-    return (0 if ok else 1), {"status": _verdict(ok), "entries": entries}, text
+    code, fields, _ = _verdict(all(r.ok for r in reports), {"entries": entries})
+    text = "".join(f"{r}\n" for r in reports) + f"status: {fields['status']}\n"
+    return code, fields, text
 
 
 def _cmd_fmt(args, doc):

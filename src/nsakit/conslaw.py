@@ -46,22 +46,17 @@ from .record import Record
 
 class Provenance(Record):
     _fields = ("transfer", "sign")
-
-    def __init__(self, transfer: DiffExpr = DiffExpr.zero(), sign: int = 1):
-        self._set(transfer, sign)
+    _defaults = {"transfer": DiffExpr.zero(), "sign": 1}
 
 
 class ConservedVector(Record):
     """Density/flux pair (C^t, C^x) with a record of how it was built."""
 
     _fields = ("c0", "c1", "provenance")
-
-    def __init__(self, c0: DiffExpr, c1: DiffExpr,
-                 provenance: Provenance = Provenance()):
-        self._set(c0, c1, provenance)
+    _defaults = {"provenance": Provenance()}
 
     def __str__(self) -> str:
-        return f"C0 = {self.c0}; C1 = {self.c1}"
+        return f"c0 = {self.c0}; c1 = {self.c1}"
 
 
 def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:

@@ -241,23 +241,21 @@ class DiffExpr:
             return self
         return DiffExpr._raw(tuple((f, _canonical(c * q)) for f, c in self._terms))
 
-    def _monomial_inverse(self) -> "DiffExpr":
-        if len(self._terms) != 1:
-            raise ExpressionError("only single-monomial expressions are invertible")
-        factors, coeff = self._terms[0]
-        # negated exponents keep the atom order
-        inv = tuple((atom, -exp) for atom, exp in factors)
-        # Fraction(1) / coeff, since 1 / coeff on an int gives a float
-        inv_coeff = _canonical(Fraction(1) / coeff)
-        return DiffExpr._raw(((inv, inv_coeff),))
-
     def __pow__(self, exponent) -> "DiffExpr":
         if not isinstance(exponent, int):
             raise ExpressionError("exponents must be integers")
         if exponent == 0:
             return _ONE_EXPR
-        base = self if exponent > 0 else self._monomial_inverse()
-        n = abs(exponent)
+        if exponent == 1:
+            return self
+        if len(self._terms) == 1:
+            # scaled exponents keep the atom order
+            factors, coeff = self._terms[0]
+            factors = tuple((atom, exp * exponent) for atom, exp in factors)
+            return DiffExpr._raw(((factors, _canonical(Fraction(coeff) ** exponent)),))
+        if exponent < 0:
+            raise ExpressionError("only single-monomial expressions are invertible")
+        base, n = self, exponent
         result = None
         while n:
             if n & 1:
@@ -270,13 +268,13 @@ class DiffExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o._monomial_inverse()
+        return self * o**-1
 
     def __rtruediv__(self, other) -> "DiffExpr":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self._monomial_inverse()
+        return o * self**-1
 
     # structure --------------------------------------------------------
 

@@ -70,7 +70,8 @@ class Declarations(Record):
     __hash__ = None
 
     def __init__(self, params: Optional[dict] = None, funcs: Optional[dict] = None):
-        self._set({} if params is None else params, {} if funcs is None else funcs)
+        super().__init__({} if params is None else params,
+                         {} if funcs is None else funcs)
 
     def declare_param(self, name: str) -> None:
         self._check_new(name)
@@ -96,9 +97,6 @@ Statement = Union[Equation, Substitution, PointSymmetry, ConservedVector, DiffEx
 class SourceDocument(Record):
     _fields = ("declarations", "statements")
     __hash__ = None
-
-    def __init__(self, declarations: Declarations, statements: list):
-        self._set(declarations, statements)
 
     @property
     def equations(self) -> list:
@@ -551,7 +549,7 @@ def print_document(doc: SourceDocument) -> str:
             label = f" {stmt.name}" if stmt.name else ""
             lines.append(f"symmetry{label} {{ {stmt}; }}")
         elif isinstance(stmt, ConservedVector):
-            lines.append(f"conserved {{ c0 = {stmt.c0}; c1 = {stmt.c1}; }}")
+            lines.append(f"conserved {{ {stmt}; }}")
         else:
             lines.append(f"{stmt};")
     return "\n".join(lines) + "\n"

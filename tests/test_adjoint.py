@@ -1,6 +1,7 @@
 """Adjoint construction, substitution checks, determining systems."""
 
 import random
+from fractions import Fraction
 from importlib import resources
 
 import genexpr
@@ -279,6 +280,26 @@ def test_determining_system_of_transport_equation():
 
     assert keyed["1"] == primitive_normal(ph(1, 0, 0) + U * ph(0, 1, 0))
     assert determining_system(eq) == [keyed["1"]]
+
+
+def test_collect_pairs_rebuild_the_residual_and_scale_to_the_system():
+    """On every fixture, the ``collect`` pairs of the residual rebuild it
+    exactly, and each determining equation is the coefficient under the
+    same key scaled to primitive form, a nonzero rational multiple of it.
+    The scaled pairs therefore do not rebuild the residual."""
+    phi = unknown("phi")
+    for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        eq = load_fixture(path.name).equations[0]
+        residual = adjoint._nsa_residual(eq, phi, partial_coord(phi, "u"))
+        selected = {j for j in residual.jets("u") if j.order() >= 1}
+        pairs = residual.collect(selected)
+        assert DiffExpr.sum(key * c for key, c in pairs) == residual, path.name
+        detailed = determining_system_detailed(eq)
+        assert [key for key, _ in detailed] == [key for key, _ in pairs]
+        for (_, c), (_, d) in zip(pairs, detailed):
+            ratio = Fraction(d.terms[0][1]) / c.terms[0][1]
+            assert ratio and c * ratio == d, (path.name, c, d)
+        assert DiffExpr.sum(key * d for key, d in detailed) != residual
 
 
 def test_nsa_residual_is_the_euler_operator_of_phi_times_f():

@@ -73,6 +73,23 @@ def test_negative_powers_invert_monomials():
     assert (U**2 * U_X) / U_X == U**2
 
 
+def test_powers_match_repeated_products():
+    """A one-term power scales the exponents and raises the coefficient; a
+    sum's power squares and multiplies.  Both equal the repeated product,
+    and a negative power of a monomial is the inverse of the positive one."""
+    monomials = [U, -3 * U * U_X**2, Fraction(-2, 5) * X * U**-1 * A,
+                 ln(U_X) * T, DiffExpr.number(Fraction(4, 9)), DiffExpr.number(-7)]
+    for e in monomials + [U + 1, P * U_X - Fraction(1, 2) * X]:
+        for n in range(1, 7):
+            assert e**n == reduce(lambda a, b: a * b, [e] * n), (e, n)
+            if len(e.terms) == 1:
+                assert e**n * e**-n == DiffExpr.one(), (e, n)
+                assert all(c.__class__ is int or c.denominator > 1
+                           for _, c in (e**-n).terms)
+    assert all(e**1 is e for e in monomials)
+    assert DiffExpr.zero() ** 3 == DiffExpr.zero()
+
+
 def test_sum_inversion_is_rejected():
     with pytest.raises(ExpressionError):
         (U + 1) ** -1

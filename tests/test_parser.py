@@ -24,6 +24,7 @@ from nsakit import (
     print_document,
 )
 from nsakit.catalog import load_fixture
+from nsakit.parser import print_declarations
 from nsakit.errors import DeclarationError, ParseError, UnsupportedInputError
 
 
@@ -49,6 +50,23 @@ def test_fixture_documents_round_trip():
         again = parse_document(printed)
         assert print_document(again) == printed, path.name
         assert again.statements == doc.statements, path.name
+
+
+def test_every_statement_text_reads_back():
+    """``str()`` of each statement of every fixture, wrapped the way a
+    document writes it, parses back to an equal value."""
+    for path in sorted((Path(nsakit.__file__).parent / "fixtures").iterdir()):
+        doc = load_fixture(path.name)
+        declarations = print_declarations(doc.declarations)
+        preamble = "".join(f"{line}\n" for line in declarations)
+        for stmt in doc.statements:
+            text = f"{stmt};"
+            if isinstance(stmt, PointSymmetry):
+                text = f"symmetry {stmt.name} {{ {text} }}"
+            elif isinstance(stmt, ConservedVector):
+                text = f"conserved {{ {text} }}"
+            again = parse_document(preamble + text).statements
+            assert again == [stmt], (path.name, text)
 
 
 def test_statement_kinds():

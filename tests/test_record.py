@@ -178,3 +178,19 @@ def test_defaults_match_the_constructor_signature():
     assert entry.trivial_instance == ""
     assert Declarations() == Declarations({}, {})
     assert Declarations().params is not Declarations().params
+
+
+@pytest.mark.parametrize("cls, fields", ALL, ids=_ids(ALL))
+def test_wrong_arguments_are_a_type_error(cls, fields):
+    args = list(fields.values())
+    first, *later = fields
+    calls = [
+        lambda: cls(*args, None),  # surplus
+        lambda: cls(*args, **{first: args[0]}),  # repeated
+        lambda: cls(*args, extra=1),  # unknown
+    ]
+    if cls not in (Declarations, Provenance):  # each field has a default
+        calls.append(lambda: cls(**{name: fields[name] for name in later}))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
