@@ -13,6 +13,8 @@ All arithmetic is exact over the rationals.  The main entry points:
 - :mod:`nsakit.catalog` holds the built-in worked examples.
 """
 
+from types import ModuleType as _ModuleType
+
 from .atoms import (
     CoeffFn,
     IndepVar,
@@ -86,24 +88,8 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
+# every public name imported above, in import order
 __all__ = [
-    "CoeffFn", "IndepVar", "Jet", "Log", "Param", "UnknownFn",
-    "DiffExpr", "as_expr", "equal", "ln", "primitive_normal",
-    "Equation", "PointSymmetry", "characteristic", "euler",
-    "partial_coord", "partial_jet", "prolonged_action", "reduce_mod",
-    "substitute_dependent", "substitute_symbols", "total_derivative",
-    "Classification", "NsaReport", "Substitution", "adjoint_equation",
-    "adjoint_system", "classify_substitution", "determining_system",
-    "determining_system_detailed", "formal_lagrangian", "nsa_check",
-    "ConservedVector", "Provenance", "density_normalize",
-    "ibragimov_vector", "is_trivial", "localize", "verify_divergence",
-    "CollectError", "DeclarationError", "EquationFormError",
-    "ExpressionError", "NsaError", "OrderCapError", "ParseError",
-    "SubstitutionError", "UnsupportedInputError",
-    "Declarations", "ReorderedSubscriptWarning", "SourceDocument",
-    "parse_document", "parse_expression", "parse_symmetry",
-    "print_document",
-    "CatalogEntry", "catalog_entries", "catalog_entry", "load_fixture",
-    "verify_entry",
-    "__version__",
-]
+    name for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

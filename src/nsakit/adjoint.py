@@ -63,7 +63,7 @@ class Classification(str, enum.Enum):
     WEAK = "weak"
     NONLINEAR = "nonlinear"
 
-    def __str__(self) -> str:  # pragma: no cover
+    def __str__(self) -> str:
         return self.value
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .atoms import Jet, Log
+from .atoms import Jet
 from .adjoint import Substitution
 from .calculus import (
     Equation,
@@ -92,36 +92,28 @@ def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:
 def _transfer_candidate(factors, coeff, k: int):
     """Integration-by-parts step for one monomial at x-order k, or None.
 
-    Handles terms whose highest pure x-derivative is u_kx, linear in it,
-    and whose remaining jet content stops at order k-1; the order k-1
-    power combines by the power rule, with exponent -1 producing a
-    logarithm.  Returns h_piece = rest * integrated, where rest is the
-    monomial without its u_kx and u_(k-1)x factors; the monomial minus
-    D_x(h_piece) is then -D_x(rest) * integrated, which stops at order k-1.
+    Handles terms linear in u_kx whose rest, the monomial without its u_kx
+    and u_(k-1)x factors, holds only t-free u-jets of x-order at most k-2,
+    inside an ln too; the order k-1 power combines by the power rule, with
+    exponent -1 producing a logarithm.  Returns h_piece = rest *
+    integrated; the monomial minus D_x(h_piece) is then -D_x(rest) *
+    integrated, which stops at order k-1.
     """
-    jets_x = {}
-    for atom, exp in factors:
-        if isinstance(atom, Jet):
-            if atom.dep != "u" or atom.t_order:
-                return None
-            jets_x[atom.x_order] = exp
-        # rest keeps every ln, so its jets must stop at order k-2 too
-        elif isinstance(atom, Log) and (
-            atom.arg.max_order() > k - 2
-            or any(j.t_order for j in atom.arg.jets())
-        ):
-            return None
-    if jets_x.get(k) != 1 or max(jets_x) != k:
-        return None
-    m = jets_x.get(k - 1, 0)
+    powers = dict(factors)
     top = Jet("u", 0, k)
     slot = Jet("u", 0, k - 1)
+    if powers.get(top) != 1:
+        return None
     kept = tuple(it for it in factors if it[0] != top and it[0] != slot)
+    rest = DiffExpr._raw(((kept, coeff),))
+    if any(j.dep != "u" or j.t_order or j.x_order > k - 2 for j in rest.jets()):
+        return None
+    m = powers.get(slot, 0)
     if m == -1:
         integrated = ln(jet("u", 0, k - 1))
     else:
         integrated = jet("u", 0, k - 1) ** (m + 1) * Fraction(1, m + 1)
-    return DiffExpr._raw(((kept, coeff),)) * integrated
+    return rest * integrated
 
 
 def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:

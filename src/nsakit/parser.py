@@ -64,7 +64,9 @@ class ReorderedSubscriptWarning(UserWarning):
 
 
 class Declarations(Record):
-    """Symbol table: declared parameters and coefficient functions."""
+    """Symbol table: declared parameters and coefficient functions.
+
+    ``_Parser.parse_declarations`` is its one writer."""
 
     _fields = ("params", "funcs")
     __hash__ = None
@@ -72,20 +74,6 @@ class Declarations(Record):
     def __init__(self, params: Optional[dict] = None, funcs: Optional[dict] = None):
         super().__init__({} if params is None else params,
                          {} if funcs is None else funcs)
-
-    def declare_param(self, name: str) -> None:
-        self._check_new(name)
-        self.params[name] = Param(name)
-
-    def declare_func(self, name: str, rule: Optional[DiffExpr]) -> None:
-        self._check_new(name)
-        self.funcs[name] = CoeffFn(name, rule=rule)
-
-    def _check_new(self, name: str) -> None:
-        if name in RESERVED:
-            raise DeclarationError(f"{name!r} is reserved")
-        if name in self.params or name in self.funcs:
-            raise DeclarationError(f"{name!r} is already declared")
 
 
 # --- statements and documents ----------------------------------------
@@ -328,23 +316,28 @@ class _Parser:
     # declarations
 
     def parse_declarations(self) -> None:
+        params, funcs = self.decls.params, self.decls.funcs
         while self.peek().value in ("param", "func"):
             tok = self.next()
             try:
                 name = self._decl_name()
+                if name in RESERVED:
+                    raise DeclarationError(f"{name!r} is reserved")
+                if name in params or name in funcs:
+                    raise DeclarationError(f"{name!r} is already declared")
                 if tok.value == "param":
-                    self.decls.declare_param(name)
+                    params[name] = Param(name)
                 else:
                     self.expect("(")
                     self.expect("t")
                     self.expect(")")
                     # the bare function may appear in its own rule
-                    self.decls.declare_func(name, None)
+                    funcs[name] = CoeffFn(name)
                     if self.accept("deriv"):
                         self.expect("=")
                         rule = self.parse_expr()
                         _check_rule_closed(rule, name, tok)
-                        self.decls.funcs[name] = CoeffFn(name, rule=rule)
+                        funcs[name] = CoeffFn(name, rule=rule)
                 self.expect(";")
             except NsaError as exc:
                 raise _located(exc, tok)

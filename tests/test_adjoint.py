@@ -206,6 +206,14 @@ def test_nsa_check_holds_and_fails():
     assert report.nonzero_partials == ("u",)
 
 
+def test_report_text():
+    eq = load_fixture("W31.nsa").equations[0]
+    holds = nsa_check(eq, Substitution(DiffExpr.one()))
+    assert str(holds) == "nonlinear self-adjointness holds [nonlinear]"
+    fails = nsa_check(eq, Substitution(parse_expression("u")))
+    assert str(fails) == "nonlinear self-adjointness fails"
+
+
 def test_nsa_check_with_coefficient_functions():
     # the b = 0 member admits phi = u^-1; the b = 3a member does not
     doc = parse_document(

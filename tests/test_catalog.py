@@ -1,8 +1,10 @@
 """Catalog integrity: entries, fixtures, claim verification."""
 
+import re
 from pathlib import Path
 
 import pytest
+from test_acceptance import FAMILY_SOURCE
 
 import nsakit
 from nsakit import (
@@ -10,10 +12,12 @@ from nsakit import (
     catalog_entries,
     catalog_entry,
     load_fixture,
+    parse_document,
     parse_expression,
     substitute_symbols,
     verify_entry,
 )
+from nsakit.atoms import CoeffFn
 from nsakit.errors import DeclarationError
 
 FIXTURES = Path(nsakit.__file__).parent / "fixtures"
@@ -150,3 +154,27 @@ def test_reported_residual_is_set_exactly_for_conserved_blocks():
     for entry in catalog_entries():
         has_block = bool(load_fixture(entry.fixture).conserved)
         assert (entry.reported_residual is not None) == has_block, entry.id
+
+
+def test_fixture_constraints_give_the_fixture_equation():
+    """Each family fixture's ``# constraints:`` equalities (``b = 3a`` is
+    b = 3*a), put into the family equation, give the fixture's equation,
+    and each ``f != 0`` names a function of it."""
+    family = parse_document(FAMILY_SOURCE)
+    paths = sorted(FIXTURES.glob("type-*.nsa"))
+    assert len(paths) == 10
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        line = re.search(r"^# constraints: (.*)$", text, re.MULTILINE)[1]
+        values, nonzero = {}, []
+        for part in re.split(r", | and ", line):
+            name, op, value = part.split()
+            if op == "=":
+                value = re.sub(r"(\d)(\w)", r"\1*\2", value)
+                values[name] = parse_expression(value, family.declarations)
+            elif value == "0":
+                nonzero.append(name)
+        lhs = parse_document(text).equations[0].lhs
+        assert substitute_symbols(family.equations[0].lhs, values) == lhs, path.name
+        funcs = {a.name for a in lhs.atoms() if isinstance(a, CoeffFn)}
+        assert set(nonzero) <= funcs, path.name

@@ -9,6 +9,7 @@ from genexpr import (
     A_FN,
     P as P_ATOM,
     U_T as U_T_ATOM,
+    declarations,
     random_equation,
     random_expr,
     random_point_function,
@@ -272,15 +273,30 @@ def test_is_trivial():
         ),
         # a logarithm of the slot u_x is refused: returned unchanged
         (U_XX * ln(U_X), DiffExpr.zero(), ("u_xx*ln(u_x)", "0", "0", 1)),
+        # a jet-free logarithm rides along at x-order 1
+        (
+            ln(DiffExpr.from_atom(A_FN)) * U_X,
+            DiffExpr.zero(),
+            ("0", "a^-1*a'*u + u_t*ln(a)", "u*ln(a)", 1),
+        ),
+        (
+            ln(T) * U * U_X,
+            DiffExpr.zero(),
+            ("0", "1/2*t^-1*u^2 + u*u_t*ln(t)", "1/2*u^2*ln(t)", 1),
+        ),
+        (ln(X) * U_X, DiffExpr.zero(), ("x^-1*u", "-u_t*ln(x)", "-u*ln(x)", -1)),
     ],
-    ids=["polynomial", "uxx_ln_u", "ux_uxxx_ln_u", "uxx_per_ux_ln_u", "ln_ux_refused"],
+    ids=[
+        "polynomial", "uxx_ln_u", "ux_uxxx_ln_u", "uxx_per_ux_ln_u", "ln_ux_refused",
+        "ux_ln_a", "u_ux_ln_t", "ux_ln_x",
+    ],
 )
 def test_repeated_normalization_keeps_the_provenance_identities(c0, c1, want):
     eq = Equation(DiffExpr.from_atom(Jet("u", 1, 0)) + U * U_XXX)
     original = ConservedVector(c0, c1)
     once = density_normalize(original, eq)
     *texts, sign = want
-    pinned = [parse_expression(text) for text in texts]
+    pinned = [parse_expression(text, declarations()) for text in texts]
     assert [once.c0, once.c1, once.provenance.transfer] == pinned
     assert once.provenance.sign == sign
     twice = density_normalize(once, eq)

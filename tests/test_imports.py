@@ -8,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import nsakit
@@ -139,6 +140,19 @@ def test_lines_fit_in_88_columns():
         if len(line) > 88
     ]
     assert not long_lines, "lines over 88 columns:\n" + "\n".join(long_lines)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from nsakit import *", namespace)
+    assert set(namespace) == {*nsakit.__all__, "__builtins__"}
+    assert len(nsakit.__all__) == len(set(nsakit.__all__)) == 61
+    assert "__version__" in nsakit.__all__
+    assert not [
+        name for name in nsakit.__all__
+        if isinstance(getattr(nsakit, name), types.ModuleType)
+        or (name.startswith("_") and name != "__version__")
+    ]
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():

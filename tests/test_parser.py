@@ -11,7 +11,6 @@ import pytest
 import nsakit
 from nsakit import (
     ConservedVector,
-    Declarations,
     DiffExpr,
     Equation,
     NsaError,
@@ -29,8 +28,7 @@ from nsakit.errors import DeclarationError, ParseError, UnsupportedInputError
 
 
 def test_expression_round_trip():
-    decls = Declarations()
-    decls.declare_param("c1")
+    decls = parse_document("param c1;").declarations
     for text in (
         "u_t + u*u_xxx",
         "c1*u^-1 + 1/2*u_x^2",
@@ -120,6 +118,18 @@ def test_declaration_errors():
         parse_document("func phi(t); u_t = 0;")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("func x(t); u_t = 0;", "1:1: 'x' is reserved"),
+        ("param a; func a(t); u_t = 0;", "1:10: 'a' is already declared"),
+    ],
+)
+def test_declaration_error_messages(text, message):
+    with pytest.raises(DeclarationError, match=f"^{message}$"):
+        parse_document(text)
+
+
 def test_undeclared_identifier_reports_position():
     with pytest.raises(ParseError) as info:
         parse_document("u_t + q*u_x = 0;")
@@ -128,8 +138,7 @@ def test_undeclared_identifier_reports_position():
 
 
 def test_primed_functions():
-    decls = Declarations()
-    decls.declare_func("a", None)
+    decls = parse_document("func a(t);").declarations
     e = parse_expression("a'' + a'*a", decls)
     assert "a''" in str(e)
     # a declared derivative rule replaces prime notation entirely
