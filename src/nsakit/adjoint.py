@@ -151,10 +151,4 @@ def determining_system_detailed(eq: Equation) -> list[tuple[DiffExpr, DiffExpr]]
 
 def determining_system(eq: Equation) -> list[DiffExpr]:
     """Determining equations, deduplicated and deterministically ordered."""
-    seen = set()
-    out = []
-    for _key, coeff in determining_system_detailed(eq):
-        if coeff not in seen:
-            seen.add(coeff)
-            out.append(coeff)
-    return out
+    return list(dict.fromkeys(c for _key, c in determining_system_detailed(eq)))

@@ -42,7 +42,7 @@ class CatalogEntry(Record):
     """
 
     _fields = (
-        "id", "fixture", "classification",
+        "id", "classification",
         # ((symbol, value), ...) assignments with the classification
         # expected there
         "special_cases",
@@ -72,6 +72,12 @@ class CatalogEntry(Record):
         "trivial_instance": "",
     }
 
+    @property
+    def fixture(self) -> str:
+        """``type-<id>.nsa`` for a family entry, whose id starts with a
+        digit, and ``<id>.nsa`` for a worked example."""
+        return f"type-{self.id}.nsa" if self.id[0].isdigit() else f"{self.id}.nsa"
+
 
 class ClaimResult(Record):
     _fields = ("name", "passed", "detail")
@@ -99,19 +105,16 @@ class EntryReport(Record):
 _ENTRIES = (
     CatalogEntry(
         id="3-I",
-        fixture="type-3-I.nsa",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
         witness=(("a", 1), ("c", 1)),
     ),
     CatalogEntry(
         id="3-II",
-        fixture="type-3-II.nsa",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="3-III",
-        fixture="type-3-III.nsa",
         classification=Classification.QUASI,
         special_cases=(((("c2", 0),), Classification.QUASI),),
         refuted_substitutions=(("u", "-6*a*u_x*u_xx"),),
@@ -119,45 +122,37 @@ _ENTRIES = (
     ),
     CatalogEntry(
         id="3-IV",
-        fixture="type-3-IV.nsa",
         classification=Classification.WEAK,
     ),
     CatalogEntry(
         id="5-I",
-        fixture="type-5-I.nsa",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="5-II",
-        fixture="type-5-II.nsa",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
         witness=(("a", 1), ("c", 1), ("d", 1)),
     ),
     CatalogEntry(
         id="5-III",
-        fixture="type-5-III.nsa",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="5-IV",
-        fixture="type-5-IV.nsa",
         classification=Classification.QUASI,
         special_cases=(((("c1", 1), ("c2", 0)), Classification.STRICT),),
     ),
     CatalogEntry(
         id="5-V",
-        fixture="type-5-V.nsa",
         classification=Classification.QUASI,
     ),
     CatalogEntry(
         id="2-R",
-        fixture="type-2-R.nsa",
         classification=Classification.NONLINEAR,
     ),
     CatalogEntry(
         id="W31",
-        fixture="W31.nsa",
         classification=Classification.NONLINEAR,
         refuted_symmetries=("tau = t; xi = 0; eta = 0",),
         verified_vector=("u", "1/3*t*u^3 + u*u_xx - 1/2*u_x^2"),
@@ -165,7 +160,6 @@ _ENTRIES = (
     ),
     CatalogEntry(
         id="W32a",
-        fixture="W32a.nsa",
         classification=Classification.WEAK,
         verified_vector=("ln(u)", "u_xx"),
         reported_residual="2*u_xxx",
@@ -173,14 +167,12 @@ _ENTRIES = (
     ),
     CatalogEntry(
         id="W32b",
-        fixture="W32b.nsa",
         classification=Classification.WEAK,
         verified_vector=("3*x^2*ln(u)", "6*u - 6*x*u_x + 3*x^2*u_xx"),
         reported_residual="0",
     ),
     CatalogEntry(
         id="W33",
-        fixture="W33.nsa",
         classification=Classification.NONLINEAR,
         verified_vector=(
             "(5*p + 2)*u",
@@ -232,6 +224,10 @@ def verify_entry(entry_id: str) -> EntryReport:
         claim(f"{prefix}classification is {want.value}", got == want,
               f"got {got.value if got else 'none'}")
 
+    def vanishes(name: str, residual, shown: str = "") -> None:
+        claim(name, residual.is_zero,
+              shown if residual.is_zero else f"residual {residual}")
+
     def trivial(name: str, raw, phi: Substitution, on: Equation) -> None:
         vec = density_normalize(localize(raw, phi), on)
         claim(f"{name} yields a trivial vector", is_trivial(vec, on),
@@ -270,46 +266,30 @@ def verify_entry(entry_id: str) -> EntryReport:
 
     if doc.symmetries:
         raw = ibragimov_vector(eq, doc.symmetries[0])
-        _, adj = adjoint_system(eq)
-        raw_div = verify_divergence(raw, (eq, adj))
-        claim("raw vector divergence vanishes on the system", raw_div.is_zero,
-              "" if raw_div.is_zero else f"residual {raw_div}")
+        vanishes("raw vector divergence vanishes on the system",
+                 verify_divergence(raw, adjoint_system(eq)))
 
         normalized = density_normalize(localize(raw, sub), eq)
-        residual = verify_divergence(normalized, (eq,))
-        claim(
-            "normalized vector verified",
-            residual.is_zero,
-            f"(C0, C1) = ({normalized.c0}, {normalized.c1})"
-            if residual.is_zero
-            else f"residual {residual}",
-        )
+        vanishes("normalized vector verified", verify_divergence(normalized, (eq,)),
+                 f"(C0, C1) = ({normalized.c0}, {normalized.c1})")
 
         if entry.verified_vector is not None:
-            want_c0, want_c1 = map(expr, entry.verified_vector)
-            claim(
-                "vector matches the verified components",
-                normalized.c0 == want_c0 and normalized.c1 == want_c1,
-                f"got ({normalized.c0}, {normalized.c1})",
-            )
+            want = tuple(map(expr, entry.verified_vector))
+            claim("vector matches the verified components",
+                  (normalized.c0, normalized.c1) == want,
+                  f"got ({normalized.c0}, {normalized.c1})")
 
         for stmt in doc.conserved:
             reported = verify_divergence(stmt, (eq,))
             text = entry.reported_residual
             expected = None if text is None else expr(text)
             if expected == 0:
-                claim(
-                    "reported vector passes the divergence check",
-                    reported.is_zero,
-                    "" if reported.is_zero else f"residual {reported}",
-                )
+                vanishes("reported vector passes the divergence check", reported)
             else:
-                # with no residual recorded, reported == None fails the claim
-                claim(
-                    "reported vector fails the divergence check as expected",
-                    (not reported.is_zero) and reported == expected,
-                    f"residual {reported}",
-                )
+                # a recorded nonzero residual rules out a zero result, and
+                # with none recorded, reported == None fails the claim
+                claim("reported vector fails the divergence check as expected",
+                      reported == expected, f"residual {reported}")
 
         for phi_text in entry.trivial_substitutions:
             trivial(f"substitution {phi_text}", raw,

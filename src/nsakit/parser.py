@@ -166,6 +166,11 @@ _SUBSCRIPTED = {
 _BUILTINS = {"t": IndepVar("t"), "x": IndepVar("x"), "u": Jet("u"),
              "v": Jet("v"), "phi": UnknownFn("phi")}
 
+# block keyword -> (record class, component keys in argument order); only
+# a symmetry takes a name after its keyword
+_BLOCKS = {"symmetry": (PointSymmetry, ("tau", "xi", "eta")),
+           "conserved": (ConservedVector, ("c0", "c1"))}
+
 
 class _Parser:
     def __init__(self, text: str, decls: Optional[Declarations] = None):
@@ -354,10 +359,8 @@ class _Parser:
         tok = self.peek()
         if tok.value in ("param", "func"):
             raise tok.error("declarations must precede all statements")
-        if tok.value == "symmetry":
-            return self.parse_symmetry_stmt()
-        if tok.value == "conserved":
-            return self.parse_conserved_stmt()
+        if tok.value in _BLOCKS:
+            return self.parse_block()
         if tok.value == "phi" and self.peek(1).value == "=":
             self.next()
             self.next()
@@ -374,30 +377,25 @@ class _Parser:
         self.expect(";")
         return expr
 
-    def parse_symmetry_stmt(self) -> PointSymmetry:
+    def parse_block(self) -> Union[PointSymmetry, ConservedVector]:
+        """A ``_BLOCKS`` statement; a record's own check is reported at
+        its keyword."""
         tok = self.next()
-        name = ""
-        if self.peek().kind == "IDENT":
-            name = self.next().value
+        cls, keys = _BLOCKS[tok.value]
+        named = cls is PointSymmetry and self.peek().kind == "IDENT"
+        name = [self.next().value] if named else []
         self.expect("{")
-        comps = self.parse_component_list(("tau", "xi", "eta"))
+        comps = self.parse_component_list(keys)
         self.expect("}")
         try:
-            return PointSymmetry(comps["tau"], comps["xi"], comps["eta"], name=name)
+            return cls(*comps, *name)
         except NsaError as exc:
             raise tok.error(str(exc)) from exc
 
-    def parse_conserved_stmt(self) -> ConservedVector:
-        self.next()
-        self.expect("{")
-        comps = self.parse_component_list(("c0", "c1"))
-        self.expect("}")
-        return ConservedVector(comps["c0"], comps["c1"])
-
-    def parse_component_list(self, keys: tuple, end: str = "}") -> dict:
-        """``key = expr;`` for each of ``keys``, up to the token ``end``;
-        ``end = ""`` stops at end of input, where the last ``;`` may be
-        left out."""
+    def parse_component_list(self, keys: tuple, end: str = "}") -> list:
+        """``key = expr;`` for each of ``keys``, up to the token ``end``,
+        returned in the order of ``keys``; ``end = ""`` stops at end of
+        input, where the last ``;`` may be left out."""
         comps: dict = {}
         while self.peek().value != end:
             tok = self.next()
@@ -412,7 +410,7 @@ class _Parser:
         missing = [k for k in keys if k not in comps]
         if missing:
             raise self.peek().error(f"missing component {missing[0]!r}")
-        return comps
+        return [comps[k] for k in keys]
 
     def parse_document(self) -> SourceDocument:
         self.parse_declarations()
@@ -514,9 +512,9 @@ def parse_expression(text: str, decls: Optional[Declarations] = None) -> DiffExp
 def parse_symmetry(text: str, decls: Optional[Declarations] = None) -> PointSymmetry:
     """Parse inline components 'tau = ...; xi = ...; eta = ...;' that make
     up the whole text; the last ';' is optional."""
-    comps = _Parser(text, decls).parse_component_list(("tau", "xi", "eta"), end="")
+    comps = _Parser(text, decls).parse_component_list(_BLOCKS["symmetry"][1], end="")
     try:
-        return PointSymmetry(comps["tau"], comps["xi"], comps["eta"])
+        return PointSymmetry(*comps)
     except NsaError as exc:
         raise ParseError(str(exc)) from exc
 

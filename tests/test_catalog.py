@@ -8,6 +8,7 @@ from test_acceptance import FAMILY_SOURCE
 
 import nsakit
 from nsakit import (
+    CatalogEntry,
     Classification,
     catalog_entries,
     catalog_entry,
@@ -39,6 +40,9 @@ def test_catalog_entry_lookup():
     assert entry.classification is Classification.QUASI
     with pytest.raises(DeclarationError, match="unknown catalog entry"):
         catalog_entry("9-Z")
+    # a family id starts with a digit, a worked example's with a letter
+    assert CatalogEntry("9-Z", Classification.STRICT).fixture == "type-9-Z.nsa"
+    assert CatalogEntry("W99", Classification.WEAK).fixture == "W99.nsa"
 
 
 def test_every_entry_names_a_fixture_and_classification():
@@ -65,6 +69,32 @@ def test_verify_all_entries():
     for entry in catalog_entries():
         report = verify_entry(entry.id)
         assert report.ok, str(report)
+
+
+W31_RESIDUAL = "residual 2*t*u^2*u_x + u*u_xxx + u_x*u_xx"
+
+
+@pytest.mark.parametrize("change, failed", [
+    ({"reported_residual": "0"},
+     f"FAIL reported vector passes the divergence check ({W31_RESIDUAL})"),
+    ({"reported_residual": None},
+     "FAIL reported vector fails the divergence check as expected"
+     f" ({W31_RESIDUAL})"),
+    ({"verified_vector": ("u", "u_xx")},
+     "FAIL vector matches the verified components"
+     " (got (u, 1/3*t*u^3 + u*u_xx - 1/2*u_x^2))"),
+    ({"classification": Classification.STRICT},
+     "FAIL classification is strict (got nonlinear)"),
+], ids=["zero-residual", "no-residual", "wrong-vector", "classification"])
+def test_a_wrong_claim_fails(monkeypatch, change, failed):
+    """W31 with one recorded claim altered fails that claim alone."""
+    from nsakit import catalog
+
+    w31 = catalog_entry("W31")
+    fields = {name: getattr(w31, name) for name in CatalogEntry._fields}
+    monkeypatch.setattr(catalog, "_ENTRIES", (CatalogEntry(**{**fields, **change}),))
+    report = verify_entry("W31")
+    assert [str(c) for c in report.claims if not c.passed] == [failed]
 
 
 def test_claims_include_refutations_where_recorded():

@@ -382,13 +382,10 @@ def _reference_transfer_candidate(factors, coeff):
     slot = Jet("u", 0, k - 1)
     kept = tuple(it for it in factors if it[0] != top and it[0] != slot)
     for atom, _exp in kept:
-        if isinstance(atom, Log):
-            inner_order = max(
-                (a.x_order for a in atom.arg.atoms() if isinstance(a, Jet)),
-                default=0,
-            )
-            if inner_order > k - 2:
-                return None
+        if isinstance(atom, Log) and any(
+            a.x_order > k - 2 for a in atom.arg.atoms() if isinstance(a, Jet)
+        ):
+            return None
     if m == -1:
         integrated = ln(DiffExpr.from_atom(slot))
     else:
@@ -446,9 +443,12 @@ DENSITY_ATOMS = (
     IndepVar("t"), IndepVar("x"), P_ATOM, A_FN, U_T_ATOM,
     *(Jet("u", 0, k) for k in range(6)),
 )
-# ln of monomials, one with a t-derivative, and of a sum, whose D_x is
-# refused
-DENSITY_LOG_ARGS = (U, U_X, U_XX, 2 * U, DiffExpr.from_atom(U_T_ATOM), U + T)
+# ln of monomials, one with a t-derivative, of a sum, whose D_x is
+# refused, and of jet-free arguments
+DENSITY_LOG_ARGS = (
+    U, U_X, U_XX, 2 * U, DiffExpr.from_atom(U_T_ATOM), U + T,
+    T, DiffExpr.from_atom(A_FN),
+)
 
 
 def test_level_normalization_matches_the_term_by_term_reference():

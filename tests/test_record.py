@@ -46,7 +46,7 @@ HASHABLE = [
         "c0": E("u"), "c1": E("1/2*u^2"), "provenance": Provenance(E("u"), 1),
     }),
     (CatalogEntry, {
-        "id": "X", "fixture": "x.nsa", "classification": Classification.WEAK,
+        "id": "X", "classification": Classification.WEAK,
         "special_cases": ((("a", 1),), "quasi"),
         "refuted_substitutions": (("u", "1"),), "refuted_symmetries": ("s",),
         "witness": (("a", 2),), "verified_vector": ("u", "u_x"),
@@ -172,7 +172,7 @@ def test_defaults_match_the_constructor_signature():
     vec = ConservedVector(E("u"), E("0"))
     assert vec.provenance is ConservedVector(E("1"), E("0")).provenance
     assert ClaimResult("adjoint", True).detail == ""
-    entry = CatalogEntry("X", "x.nsa", Classification.STRICT)
+    entry = CatalogEntry("X", Classification.STRICT)
     assert entry.special_cases == entry.witness == entry.trivial_substitutions == ()
     assert entry.verified_vector is entry.reported_residual is None
     assert entry.trivial_instance == ""
