@@ -1,13 +1,18 @@
 """Built-in catalog of self-adjoint equation families and worked examples.
 
 Each entry points at a ``.nsa`` fixture holding the equation, the
-substitution family with free constants, and the known point symmetries.
-Worked-example fixtures also carry a ``conserved`` block with the vector
-as originally reported; :func:`verify_entry` recomputes everything from
-scratch and flags any reported component that fails the divergence check.
+substitution family with free constants, and the known point symmetries;
+a ``<fixture>-trivial.nsa`` next to it is an instance whose vector must
+come out trivial.  A worked example's fixture also carries a ``conserved``
+block with the vector as originally reported.  An entry records only what
+its fixture cannot say: the expected classifications, the refutations,
+the trivial substitutions and, where the reported block fails, its
+correction.  :func:`verify_entry` recomputes every claim from scratch.
 """
 
 from __future__ import annotations
+
+import os
 
 from .adjoint import (
     Classification,
@@ -26,11 +31,13 @@ from .conslaw import (
 from .errors import DeclarationError
 from .parser import (
     SourceDocument,
-    parse_document,
     parse_expression,
     parse_symmetry,
+    read_document,
 )
 from .record import Record
+
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class CatalogEntry(Record):
@@ -43,33 +50,28 @@ class CatalogEntry(Record):
 
     _fields = (
         "id", "classification",
-        # ((symbol, value), ...) assignments with the classification
-        # expected there
+        # ((symbol, value), ...) assignments to constants of phi, with the
+        # classification expected there
         "special_cases",
-        # (phi text, expected residual text) for substitutions that must fail
+        # (phi text, expected residual text) for substitutions that must
+        # fail; each residual must stay nonzero with every coefficient
+        # function of the fixture set to 1
         "refuted_substitutions",
         # inline symmetry text that must fail the prolongation check
         "refuted_symmetries",
-        # (symbol, value) assignments under which each refutation residual
-        # must stay nonzero
-        "witness",
-        # divergence-verified (c0, c1) text for the fixture's symmetry and phi
-        "verified_vector",
-        # expected divergence residual text of the fixture's reported
-        # conserved block, "0" when it passes; set exactly when the fixture
-        # has one
-        "reported_residual",
+        # (residual text, (c0, c1) text) where the fixture's conserved
+        # block fails: the block's expected divergence residual, and the
+        # vector that verifies instead; None where a block passes and is
+        # itself the verified vector
+        "correction",
         # substitutions under which the construction only yields trivial
         # vectors
         "trivial_substitutions",
-        # fixture of a special instance whose vector must come out trivial
-        "trivial_instance",
     )
     _defaults = {
         "special_cases": (), "refuted_substitutions": (),
-        "refuted_symmetries": (), "witness": (), "verified_vector": None,
-        "reported_residual": None, "trivial_substitutions": (),
-        "trivial_instance": "",
+        "refuted_symmetries": (), "correction": None,
+        "trivial_substitutions": (),
     }
 
     @property
@@ -107,7 +109,6 @@ _ENTRIES = (
         id="3-I",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
-        witness=(("a", 1), ("c", 1)),
     ),
     CatalogEntry(
         id="3-II",
@@ -118,7 +119,6 @@ _ENTRIES = (
         classification=Classification.QUASI,
         special_cases=(((("c2", 0),), Classification.QUASI),),
         refuted_substitutions=(("u", "-6*a*u_x*u_xx"),),
-        witness=(("a", 1), ("c", 1)),
     ),
     CatalogEntry(
         id="3-IV",
@@ -132,7 +132,6 @@ _ENTRIES = (
         id="5-II",
         classification=Classification.NONLINEAR,
         refuted_substitutions=(("u", "3*a*u_x*u_xx"),),
-        witness=(("a", 1), ("c", 1), ("d", 1)),
     ),
     CatalogEntry(
         id="5-III",
@@ -155,31 +154,22 @@ _ENTRIES = (
         id="W31",
         classification=Classification.NONLINEAR,
         refuted_symmetries=("tau = t; xi = 0; eta = 0",),
-        verified_vector=("u", "1/3*t*u^3 + u*u_xx - 1/2*u_x^2"),
-        reported_residual="2*t*u^2*u_x + u*u_xxx + u_x*u_xx",
+        correction=("2*t*u^2*u_x + u*u_xxx + u_x*u_xx",
+                    ("u", "1/3*t*u^3 + u*u_xx - 1/2*u_x^2")),
     ),
     CatalogEntry(
         id="W32a",
         classification=Classification.WEAK,
-        verified_vector=("ln(u)", "u_xx"),
-        reported_residual="2*u_xxx",
+        correction=("2*u_xxx", ("ln(u)", "u_xx")),
         trivial_substitutions=("1", "u^-1"),
     ),
     CatalogEntry(
         id="W32b",
         classification=Classification.WEAK,
-        verified_vector=("3*x^2*ln(u)", "6*u - 6*x*u_x + 3*x^2*u_xx"),
-        reported_residual="0",
     ),
     CatalogEntry(
         id="W33",
         classification=Classification.NONLINEAR,
-        verified_vector=(
-            "(5*p + 2)*u",
-            "1/3*(5*p + 2)*f*u^3 + (5*p + 2)*u_xxxx",
-        ),
-        reported_residual="0",
-        trivial_instance="W33-trivial.nsa",
     ),
 )
 
@@ -197,12 +187,7 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
 
 
 def load_fixture(name: str) -> SourceDocument:
-    # imported on first use: on Python 3.12+ importlib.resources loads
-    # inspect, which commands that read no fixture need not pay for
-    from importlib import resources
-
-    text = resources.files("nsakit").joinpath("fixtures", name).read_text()
-    return parse_document(text)
+    return read_document(os.path.join(_FIXTURES, name))
 
 
 def verify_entry(entry_id: str) -> EntryReport:
@@ -239,11 +224,10 @@ def verify_entry(entry_id: str) -> EntryReport:
 
     for values, expected in entry.special_cases:
         special = Substitution(substitute_symbols(sub.phi, dict(values)))
-        special_eq = Equation(substitute_symbols(eq.lhs, dict(values)), eq.dep)
         label = "; ".join(f"{k} = {v}" for k, v in values)
-        classified(f"at {label}: ", nsa_check(special_eq, special).classification,
-                   expected)
+        classified(f"at {label}: ", nsa_check(eq, special).classification, expected)
 
+    witness = dict.fromkeys(decls.funcs, 1)
     for phi_text, residual_text in entry.refuted_substitutions:
         bad_report = nsa_check(eq, Substitution(expr(phi_text)))
         residual = bad_report.residual
@@ -251,7 +235,7 @@ def verify_entry(entry_id: str) -> EntryReport:
             f"substitution {phi_text} refuted",
             not bad_report.holds
             and residual == expr(residual_text)
-            and not substitute_symbols(residual, dict(entry.witness)).is_zero,
+            and not substitute_symbols(residual, witness).is_zero,
             f"residual {residual}",
         )
 
@@ -273,21 +257,20 @@ def verify_entry(entry_id: str) -> EntryReport:
         vanishes("normalized vector verified", verify_divergence(normalized, (eq,)),
                  f"(C0, C1) = ({normalized.c0}, {normalized.c1})")
 
-        if entry.verified_vector is not None:
-            want = tuple(map(expr, entry.verified_vector))
+        for block in doc.conserved:
+            # without a correction the block must pass, and it is itself
+            # the verified vector
+            expected, want = 0, (block.c0, block.c1)
+            if entry.correction is not None:
+                text, vector = entry.correction
+                expected, want = expr(text), tuple(map(expr, vector))
             claim("vector matches the verified components",
                   (normalized.c0, normalized.c1) == want,
                   f"got ({normalized.c0}, {normalized.c1})")
-
-        for stmt in doc.conserved:
-            reported = verify_divergence(stmt, (eq,))
-            text = entry.reported_residual
-            expected = None if text is None else expr(text)
+            reported = verify_divergence(block, (eq,))
             if expected == 0:
                 vanishes("reported vector passes the divergence check", reported)
             else:
-                # a recorded nonzero residual rules out a zero result, and
-                # with none recorded, reported == None fails the claim
                 claim("reported vector fails the divergence check as expected",
                       reported == expected, f"residual {reported}")
 
@@ -295,10 +278,11 @@ def verify_entry(entry_id: str) -> EntryReport:
             trivial(f"substitution {phi_text}", raw,
                     Substitution(expr(phi_text)), eq)
 
-    if entry.trivial_instance:
-        inst = load_fixture(entry.trivial_instance)
+    instance = entry.fixture.replace(".nsa", "-trivial.nsa")
+    if os.path.exists(os.path.join(_FIXTURES, instance)):
+        inst = load_fixture(instance)
         inst_eq = inst.equations[0]
-        trivial(f"instance {entry.trivial_instance}",
+        trivial(f"instance {instance}",
                 ibragimov_vector(inst_eq, inst.symmetries[0]),
                 Substitution(inst.substitutions[0]), inst_eq)
 

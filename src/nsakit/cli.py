@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import warnings
-from pathlib import Path
 
 from .adjoint import (
     Substitution,
@@ -41,21 +40,11 @@ from .errors import NsaError, ParseError, UnsupportedInputError
 from .expr import DiffExpr
 from .parser import (
     SourceDocument,
-    parse_document,
     parse_expression,
     parse_symmetry,
     print_document,
+    read_document,
 )
-
-
-def _load(path: str) -> SourceDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_document(text)
 
 
 def _equation(doc: SourceDocument) -> Equation:
@@ -249,7 +238,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            doc = _load(args.file) if "file" in args else None
+            doc = read_document(args.file) if "file" in args else None
             code, fields, text = args.handler(args, doc)
         except UnsupportedInputError as exc:
             code = _report_error(args, str(exc), 3)

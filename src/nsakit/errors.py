@@ -23,7 +23,9 @@ class UnsupportedInputError(NsaError):
 
 
 class OrderCapError(UnsupportedInputError):
-    """A derivative application would exceed the configured jet order cap."""
+    """A jet or partial derivative would exceed the fixed order cap
+    ``atoms.ORDER_CAP`` (12), whether a derivative builds it or the
+    parser reads it."""
 
 
 class ExpressionError(NsaError):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .adjoint import Substitution
-from .atoms import Atom, CoeffFn, IndepVar, Jet, Param, UnknownFn
+from .atoms import Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
 from .calculus import Equation, PointSymmetry
 from .conslaw import ConservedVector
 from .errors import (
@@ -486,12 +486,13 @@ def _singleton_key(stmt: Statement) -> Optional[str]:
 
 
 def _check_rule_closed(rule: DiffExpr, name: str, tok: _Token) -> None:
+    """A ``deriv`` rule holds parameters, ``t``, functions of ``t`` and
+    ``ln`` of these (``atoms`` yields each ln's own atoms too), but no
+    primes of the function it defines."""
     for atom in rule.atoms():
-        ok = (
-            isinstance(atom, (Param, CoeffFn))
-            or (isinstance(atom, IndepVar) and atom.name == "t")
-        )
-        if not ok:
+        if isinstance(atom, CoeffFn) and atom.name == name and atom.primes:
+            raise tok.error(f"{name!r} has a declared derivative; primes do not apply")
+        if not (isinstance(atom, (Param, CoeffFn, Log)) or atom == _BUILTINS["t"]):
             raise tok.error(
                 f"derivative rule for {name!r} must be a function of t"
                 f" (found {atom})"
@@ -503,6 +504,18 @@ def _check_rule_closed(rule: DiffExpr, name: str, tok: _Token) -> None:
 
 def parse_document(text: str) -> SourceDocument:
     return _Parser(text).parse_document()
+
+
+def read_document(path: str) -> SourceDocument:
+    """The document in the UTF-8 file at ``path``; a file that cannot be
+    read or decoded is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read {path}: {reason}") from exc
+    return parse_document(text)
 
 
 def parse_expression(text: str, decls: Optional[Declarations] = None) -> DiffExpr:

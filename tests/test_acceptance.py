@@ -214,7 +214,7 @@ def test_criterion_7_worked_example_reproduction_with_audit():
     }
     for entry_id, residual_text in audits.items():
         entry = catalog_entry(entry_id)
-        assert entry.reported_residual == residual_text, entry_id
+        assert entry.correction == (residual_text, expected[entry_id]), entry_id
         doc = load_fixture(entry.fixture)
         eq = doc.equations[0]
         block = next(
@@ -232,9 +232,16 @@ def test_criterion_7_worked_example_reproduction_with_audit():
         ]
         assert flagged and flagged[0].passed, entry_id
 
-    # the recorded blocks that were transcribed correctly still verify
+    # the recorded blocks that were transcribed correctly need no
+    # correction: each verifies and is the vector above
     for entry_id in ("W32b", "W33"):
-        assert catalog_entry(entry_id).reported_residual == "0"
+        assert catalog_entry(entry_id).correction is None
+        doc = load_fixture(catalog_entry(entry_id).fixture)
+        (block,) = doc.conserved
+        c0_text, c1_text = expected[entry_id]
+        assert block.c0 == parse_expression(c0_text, doc.declarations)
+        assert block.c1 == parse_expression(c1_text, doc.declarations)
+        assert verify_divergence(block, doc.equations[0]).is_zero, entry_id
 
 
 def test_criterion_8_triviality():
@@ -249,9 +256,9 @@ def test_criterion_8_triviality():
         vec = localize(raw, sub)
         assert is_trivial(vec, eq), phi_text
 
+    # the instance is the fixture named like the entry's, with -trivial
     entry = catalog_entry("W33")
-    assert entry.trivial_instance
-    tdoc = load_fixture(entry.trivial_instance)
+    tdoc = load_fixture(entry.fixture.replace(".nsa", "-trivial.nsa"))
     teq = tdoc.equations[0]
     tsym = tdoc.symmetries[0]
     tsub = Substitution(tdoc.substitutions[0])

@@ -343,3 +343,29 @@ def test_stored_adjoint_is_the_euler_operator_of_the_lagrangian():
     eqs += [genexpr.random_equation(rng) for _ in range(200)]
     for eq in eqs:
         assert eq.adjoint == euler(formal_lagrangian(eq), "u"), eq.lhs
+
+
+# Substitutions that the fixtures' families lack, found by solving the
+# determining systems; a derived classification must find them too.
+@pytest.mark.parametrize("name", ["type-3-I.nsa", "type-3-II.nsa"])
+def test_u_squared_verifies_beyond_the_recorded_family(name):
+    doc = load_fixture(name)
+    phi = parse_expression("u^2", doc.declarations)
+    report = nsa_check(doc.equations[0], Substitution(phi))
+    assert report.holds
+    assert report.classification is Classification.QUASI
+    assert report.multiplier == parse_expression("-2*u")
+
+
+def test_a_weak_substitution_verifies_on_3_i_with_an_antiderivative():
+    """phi = x - C*u^2, where C' = c, verifies on the 3-I equation."""
+    doc = parse_document(
+        "func a(t);\nfunc c(t);\nfunc C(t) deriv = c;\n"
+        "u_t + a*u*u_xxx + 3*a*u_x*u_xx + c*u^2*u_x = 0;\nphi = x - C*u^2;\n"
+    )
+    eq = doc.equations[0]
+    assert eq == load_fixture("type-3-I.nsa").equations[0]
+    report = nsa_check(eq, Substitution(doc.substitutions[0]))
+    assert report.holds
+    assert report.classification is Classification.WEAK
+    assert report.multiplier == parse_expression("2*C*u", doc.declarations)

@@ -19,7 +19,7 @@ from nsakit import (
     verify_entry,
 )
 from nsakit.atoms import CoeffFn
-from nsakit.errors import DeclarationError
+from nsakit.errors import DeclarationError, ParseError
 
 FIXTURES = Path(nsakit.__file__).parent / "fixtures"
 
@@ -52,9 +52,12 @@ def test_every_entry_names_a_fixture_and_classification():
 
 
 def test_every_fixture_belongs_to_one_entry():
+    """Each fixture is an entry's, or its ``-trivial`` instance."""
     named = [e.fixture for e in catalog_entries()]
-    named += [e.trivial_instance for e in catalog_entries() if e.trivial_instance]
-    assert sorted(named) == sorted(path.name for path in FIXTURES.iterdir())
+    trivial = [name.replace(".nsa", "-trivial.nsa") for name in named]
+    found = sorted(path.name for path in FIXTURES.iterdir())
+    assert sorted(named + [name for name in trivial if name in found]) == found
+    assert "W33-trivial.nsa" in found
 
 
 def test_verify_single_entry():
@@ -71,21 +74,22 @@ def test_verify_all_entries():
         assert report.ok, str(report)
 
 
-W31_RESIDUAL = "residual 2*t*u^2*u_x + u*u_xxx + u_x*u_xx"
+W31_RESIDUAL = "2*t*u^2*u_x + u*u_xxx + u_x*u_xx"
+W31_VECTOR = ("u", "1/3*t*u^3 + u*u_xx - 1/2*u_x^2")
 
 
 @pytest.mark.parametrize("change, failed", [
-    ({"reported_residual": "0"},
-     f"FAIL reported vector passes the divergence check ({W31_RESIDUAL})"),
-    ({"reported_residual": None},
+    ({"correction": ("0", W31_VECTOR)},
+     f"FAIL reported vector passes the divergence check (residual {W31_RESIDUAL})"),
+    ({"correction": ("2*u_xxx", W31_VECTOR)},
      "FAIL reported vector fails the divergence check as expected"
-     f" ({W31_RESIDUAL})"),
-    ({"verified_vector": ("u", "u_xx")},
+     f" (residual {W31_RESIDUAL})"),
+    ({"correction": (W31_RESIDUAL, ("u", "u_xx"))},
      "FAIL vector matches the verified components"
      " (got (u, 1/3*t*u^3 + u*u_xx - 1/2*u_x^2))"),
     ({"classification": Classification.STRICT},
      "FAIL classification is strict (got nonlinear)"),
-], ids=["zero-residual", "no-residual", "wrong-vector", "classification"])
+], ids=["zero-residual", "wrong-correction", "wrong-vector", "classification"])
 def test_a_wrong_claim_fails(monkeypatch, change, failed):
     """W31 with one recorded claim altered fails that claim alone."""
     from nsakit import catalog
@@ -180,10 +184,18 @@ def test_classification_comes_from_the_nsa_report(monkeypatch):
     assert _count_catalog_calls(monkeypatch, calculus, "partial_coord") == 57
 
 
-def test_reported_residual_is_set_exactly_for_conserved_blocks():
+def test_a_correction_is_recorded_only_for_a_conserved_block():
+    """Each catalog fixture has at most one ``conserved`` block, and an
+    entry has a correction only if its fixture has one."""
     for entry in catalog_entries():
-        has_block = bool(load_fixture(entry.fixture).conserved)
-        assert (entry.reported_residual is not None) == has_block, entry.id
+        blocks = load_fixture(entry.fixture).conserved
+        assert len(blocks) <= 1, entry.id
+        assert entry.correction is None or blocks, entry.id
+
+
+def test_a_missing_fixture_is_a_read_error():
+    with pytest.raises(ParseError, match=r"^cannot read .*missing\.nsa: "):
+        load_fixture("missing.nsa")
 
 
 def test_fixture_constraints_give_the_fixture_equation():

@@ -421,6 +421,16 @@ def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
     assert "undeclared identifier" in payload["message"]
 
 
+def test_a_rule_that_primes_its_own_function_is_refused(capsys, doc_path):
+    """A function with a declared derivative takes no primes, in its own
+    rule too; the refusal is at the ``func`` token."""
+    path = doc_path("param p;\nfunc a(t) deriv = p*a';\nu_t + a*u_x = 0;\n")
+    code, out, err = run(capsys, "check-symmetry", path,
+                         "--symmetry", "tau = 1; xi = 0; eta = 0")
+    assert (code, out) == (2, "")
+    assert err == "error: 2:1: 'a' has a declared derivative; primes do not apply\n"
+
+
 def test_exit_3_unsupported_inputs(capsys, doc_path):
     """Unsupported input exits 3.  An error found while the document is read
     is located; a refusal from a later computation is not."""

@@ -32,6 +32,7 @@ from nsakit import (
     localize,
     parse_document,
     parse_expression,
+    parse_symmetry,
     partial_jet,
     prolonged_action,
     reduce_mod,
@@ -594,3 +595,20 @@ def test_is_trivial_requires_conservation():
 def test_is_trivial_refuses_v():
     with pytest.raises(UnsupportedInputError, match="v-free"):
         is_trivial(ConservedVector(V * U_X, DiffExpr.zero()), THIRD_ORDER)
+
+
+# Point symmetries of the 3-IV equation that its fixture lacks, found by
+# solving the determining equations of prolonged_action; a derived
+# symmetry algebra must contain them.
+@pytest.mark.parametrize("generator", [
+    "tau = 0; xi = x; eta = 3*u",
+    "tau = -A*a^-1; xi = 0; eta = u",
+    "tau = a^-1; xi = 0; eta = 0",
+])
+def test_3_iv_generators_beyond_the_fixture_give_conserved_vectors(generator):
+    doc = load_fixture("type-3-IV.nsa")
+    eq = doc.equations[0]
+    sym = parse_symmetry(generator, doc.declarations)
+    assert prolonged_action(sym, eq).is_zero
+    local = localize(ibragimov_vector(eq, sym), Substitution(doc.substitutions[0]))
+    assert verify_divergence(density_normalize(local, eq), (eq,)).is_zero

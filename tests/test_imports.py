@@ -2,7 +2,8 @@
 every record field of the package is read somewhere in it, no module
 of the package rewrites a frozen value, none computes with floats, and
 every line of both fits in 88 columns.  Importing the CLI loads every
-layer of the package and none of the heavy standard modules."""
+layer of the package and none of the heavy standard modules, and reading
+the catalog's fixtures loads no path or package-resource module."""
 
 import ast
 import os
@@ -155,10 +156,11 @@ def test_star_import_binds_exactly_the_public_names():
     ]
 
 
-def test_cli_import_loads_every_layer_and_no_heavy_module():
-    # -S keeps site hooks from loading modules before the baseline is taken
-    code = ("import sys; before = set(sys.modules); import nsakit.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+def _bare_modules(code: str) -> set:
+    """Modules loaded by ``code`` after it binds ``before`` to
+    ``set(sys.modules)``, run under ``python -S`` so that site hooks load
+    nothing first."""
+    code += "; print(*sorted(set(sys.modules) - before))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
@@ -166,7 +168,11 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_module():
+    added = _bare_modules("import sys; before = set(sys.modules); import nsakit.cli")
     # the benchmark tracer reads each of these from sys.modules
     layers = ast.literal_eval(
         _assignment(ast.parse(TRACER.read_text()).body, "MODULES").value
@@ -174,3 +180,14 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     assert layers
     assert {f"nsakit.{m}" for m in layers} <= added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_catalog_verify_reads_fixtures_with_the_plain_file_reader():
+    """A full ``catalog verify`` loads no path or package-resource module."""
+    added = _bare_modules(
+        "import io, sys; before = set(sys.modules); from nsakit.cli import main; "
+        "sys.stdout = io.StringIO(); assert main(['catalog', 'verify']) == 0; "
+        "sys.stdout = sys.__stdout__"
+    )
+    assert "nsakit.catalog" in added
+    assert not added & {"pathlib", "importlib.resources", "zipfile", "tempfile"}

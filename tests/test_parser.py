@@ -154,6 +154,14 @@ def test_rule_must_be_a_function_of_t_only():
         parse_document("func f(t) deriv = u; u_t = 0;")
 
 
+def test_a_rule_may_take_ln_of_a_function_of_t():
+    doc = parse_document("func A(t) deriv = ln(t); u_t + A*u_x = 0;")
+    assert str(doc.declarations.funcs["A"].rule) == "ln(t)"
+    # the atoms inside the ln are checked one by one
+    with pytest.raises(ParseError, match=r"function of t \(found u\)$"):
+        parse_document("func A(t) deriv = ln(u); u_t = 0;")
+
+
 def test_function_application_suffix_is_optional():
     doc = parse_document("func a(t); u_t + a*u_x = 0;")
     decls = doc.declarations

@@ -49,9 +49,7 @@ HASHABLE = [
         "id": "X", "classification": Classification.WEAK,
         "special_cases": ((("a", 1),), "quasi"),
         "refuted_substitutions": (("u", "1"),), "refuted_symmetries": ("s",),
-        "witness": (("a", 2),), "verified_vector": ("u", "u_x"),
-        "reported_residual": "0", "trivial_substitutions": ("1",),
-        "trivial_instance": "x-trivial.nsa",
+        "correction": ("u_x", ("u", "u_x")), "trivial_substitutions": ("1",),
     }),
     (ClaimResult, {"name": "adjoint", "passed": False, "detail": "why"}),
     (EntryReport, {"entry_id": "X", "claims": (ClaimResult("adjoint", True, ""),)}),
@@ -173,9 +171,9 @@ def test_defaults_match_the_constructor_signature():
     assert vec.provenance is ConservedVector(E("1"), E("0")).provenance
     assert ClaimResult("adjoint", True).detail == ""
     entry = CatalogEntry("X", Classification.STRICT)
-    assert entry.special_cases == entry.witness == entry.trivial_substitutions == ()
-    assert entry.verified_vector is entry.reported_residual is None
-    assert entry.trivial_instance == ""
+    assert entry.special_cases == entry.trivial_substitutions == ()
+    assert entry.refuted_substitutions == entry.refuted_symmetries == ()
+    assert entry.correction is None
     assert Declarations() == Declarations({}, {})
     assert Declarations().params is not Declarations().params
 
