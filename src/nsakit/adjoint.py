@@ -4,8 +4,9 @@ The formal Lagrangian of an evolution equation F = 0 is L = v*F with a
 fresh dependent variable v.  The adjoint equation is F* = delta L / delta u.
 An equation is nonlinearly self-adjoint when some substitution v = phi(x,t,u)
 turns F* into a multiple of F; matching the u_t coefficient forces the
-multiplier to be -phi_u, so the check is a single identity in the jet
-variables, with no search.
+multiplier to be -phi_*, the linearization of phi, so the check is the
+single identity F*|_(v=phi) + phi_*(F) = 0 in the jet variables, with no
+search.  For a point phi, phi_* = phi_u.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import enum
 from .calculus import (
     Equation,
     _require_point_function,
+    linearization,
     partial_coord,
     substitute_dependent,
 )
@@ -105,10 +107,11 @@ class NsaReport(Record):
         return f"nonlinear self-adjointness {verdict}{extra}"
 
 
-def _nsa_residual(eq: Equation, phi: DiffExpr, phi_u: DiffExpr) -> DiffExpr:
-    """F*|_{v=phi} + phi_u*F, zero exactly when F* = -phi_u*F under v = phi."""
+def _nsa_residual(eq: Equation, phi: DiffExpr) -> DiffExpr:
+    """F*|_(v=phi) + phi_*(F), zero exactly when F* = -phi_*(F) under
+    v = phi; phi_* is the linearization of phi, phi_u for a point phi."""
     fstar = substitute_dependent(adjoint_equation(eq), "v", phi)
-    return fstar + phi_u * eq.lhs
+    return fstar + linearization(phi, eq.lhs)
 
 
 def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
@@ -120,7 +123,7 @@ def nsa_check(eq: Equation, sub: Substitution) -> NsaReport:
     """
     phi = sub.phi
     partials = _partials(phi)
-    residual = _nsa_residual(eq, phi, partials["u"])
+    residual = _nsa_residual(eq, phi)
     holds = residual.is_zero
     return NsaReport(
         holds=holds,
@@ -141,7 +144,7 @@ def determining_system_detailed(eq: Equation) -> list[tuple[DiffExpr, DiffExpr]]
     multiplier is forced.
     """
     phi = unknown("phi")
-    residual = _nsa_residual(eq, phi, partial_coord(phi, "u"))
+    residual = _nsa_residual(eq, phi)
     selected = {j for j in residual.jets("u") if j.order() >= 1}
     return [
         (key, primitive_normal(coeff))

@@ -7,12 +7,18 @@ function of (x, t, u) adds phi_u * u_t or phi_u * u_x.  On top of these
 live the variational (Euler-Lagrange) operator, substitution of a
 dependent variable by an expression in (x, t, u), reduction modulo
 evolution equations, and the prolonged action of a point symmetry.
+
+Two operators apply a characteristic through total derivatives:
+``apply_operator`` takes sum c * D_t^m D_x^k q over a table of
+coefficients, and ``linearization`` is the Frechet derivative
+e_*(q) = sum_J de/du_J * D^J q built on it (Olver, Applications of Lie
+Groups to Differential Equations, ch. 5).  The symmetry action, the
+self-adjointness residual and Ibragimov's flux all go through them.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import chain
 from typing import Callable, Iterator, Optional, Union
 
 from .atoms import Atom, CoeffFn, IndepVar, Jet, Log, Param, UnknownFn
@@ -138,6 +144,15 @@ def derivative(table: dict, m: int, k: int) -> DiffExpr:
     return d
 
 
+def apply_operator(coeffs: dict, q: Union[DiffExpr, int]) -> DiffExpr:
+    """sum c * D_t^m D_x^k q over the nonzero c = coeffs[m, k], from one
+    ``derivative`` table of q."""
+    table = {(0, 0): as_expr(q)}
+    return DiffExpr.sum(
+        c * derivative(table, m, k) for (m, k), c in coeffs.items() if c
+    )
+
+
 def partial_jet(e: DiffExpr, coordinate: Jet) -> DiffExpr:
     """Explicit partial derivative with respect to one jet coordinate.
 
@@ -162,6 +177,13 @@ def jet_partials(e: DiffExpr, dep: str) -> Iterator[tuple[Jet, DiffExpr]]:
         p = partial_jet(e, j)
         if not p.is_zero:
             yield j, p
+
+
+def linearization(e: DiffExpr, q: Union[DiffExpr, int]) -> DiffExpr:
+    """The linearization e_*(q) = sum_J de/du_J * D^J q over the jets of u
+    in e, u included."""
+    coeffs = {(j.t_order, j.x_order): p for j, p in jet_partials(e, "u")}
+    return apply_operator(coeffs, q)
 
 
 def brackets(partials: dict[int, DiffExpr], direction: str) -> list[DiffExpr]:
@@ -365,19 +387,12 @@ def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
 def prolonged_action(sym: PointSymmetry, eq: Equation) -> DiffExpr:
     """Prolonged symmetry action on the equation, reduced on solutions.
 
-    Computes sum_J D_J(W) dF/du_J + tau D_t F + xi D_x F and reduces it
-    modulo the equation; the result is zero exactly when the generator is
-    a point symmetry.
+    Computes tau D_t F + xi D_x F + F_*(W), the linearization of F applied
+    to the characteristic W, and reduces it modulo the equation; the
+    result is zero exactly when the generator is a point symmetry.
     """
     if eq.dep != "u":
         raise UnsupportedInputError("symmetry action is defined for u-equations")
     f = eq.lhs
-    dw = {(0, 0): characteristic(sym)}
-    action = DiffExpr.sum(
-        chain(
-            (sym.tau * total_derivative(f, "t"), sym.xi * total_derivative(f, "x")),
-            (derivative(dw, j.t_order, j.x_order) * p
-             for j, p in jet_partials(f, "u")),
-        )
-    )
-    return reduce_mod(action, [eq])
+    action = apply_operator({(1, 0): sym.tau, (0, 1): sym.xi}, f)
+    return reduce_mod(action + linearization(f, characteristic(sym)), [eq])

@@ -185,13 +185,21 @@ _COMMANDS = (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, so that ``main`` prints it
+    as every other error; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nsakit",
         description="adjoint equations, self-adjointness and conservation laws"
         " for scalar evolution equations",
@@ -225,8 +233,8 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-def _report_error(args, message: str, code: int) -> int:
-    if getattr(args, "json", False):
+def _report_error(as_json: bool, message: str, code: int) -> int:
+    if as_json:
         _write(json.dumps({"status": "error", "message": message}, indent=2) + "\n")
     else:
         print(f"error: {message}", file=sys.stderr)
@@ -234,16 +242,20 @@ def _report_error(args, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _build_parser().parse_args(argv)
+    except ParseError as exc:
+        return _report_error("--json" in argv, str(exc), 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             doc = read_document(args.file) if "file" in args else None
             code, fields, text = args.handler(args, doc)
         except UnsupportedInputError as exc:
-            code = _report_error(args, str(exc), 3)
+            code = _report_error(args.json, str(exc), 3)
         except NsaError as exc:
-            code = _report_error(args, str(exc), 2)
+            code = _report_error(args.json, str(exc), 2)
         else:
             if args.json:
                 _write(json.dumps(fields, indent=2) + "\n")

@@ -11,7 +11,8 @@ with characteristic W = eta - tau*u_t - xi*u_x and brackets B_k, the
 alternating sums of D_x^(m-k-1) dL/du_mx over k < m <= n.  These are
 the x-brackets A_(k+1) of the Lagrangian, A_k = dL/du_kx - D_x A_(k+1),
 which the equation builds once (Equation.lagrangian_brackets; A_0 gives
-its adjoint as well).  The raw components retain v and
+its adjoint as well).  The sum over k is apply_operator with the
+coefficients B_k of D_x^k, applied to W.  The raw components retain v and
 vanish in divergence against the pair (F, F*).  localize only substitutes
 v = phi(x, t, u), and verify_divergence certifies the result: it is
 conserved on F alone when phi passes nsa_check.  A density normalization
@@ -31,8 +32,8 @@ from .adjoint import Substitution
 from .calculus import (
     Equation,
     PointSymmetry,
+    apply_operator,
     characteristic,
-    derivative,
     euler,
     formal_lagrangian,
     reduce_mod,
@@ -67,13 +68,8 @@ def ibragimov_vector(eq: Equation, sym: PointSymmetry) -> ConservedVector:
     lagrangian = formal_lagrangian(eq)
     w = characteristic(sym)
     c0 = sym.tau * lagrangian + w * jet("v")
-    dw = {(0, 0): w}
-    pieces = [
-        derivative(dw, 0, k) * b
-        for k, b in enumerate(eq.lagrangian_brackets[1:])
-        if b
-    ]
-    return ConservedVector(c0, DiffExpr.sum([sym.xi * lagrangian, *pieces]))
+    brackets = {(0, k): b for k, b in enumerate(eq.lagrangian_brackets[1:])}
+    return ConservedVector(c0, sym.xi * lagrangian + apply_operator(brackets, w))
 
 
 def localize(cv: ConservedVector, sub: Substitution) -> ConservedVector:

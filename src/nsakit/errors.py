@@ -24,8 +24,8 @@ class UnsupportedInputError(NsaError):
 
 class OrderCapError(UnsupportedInputError):
     """A jet or partial derivative would exceed the fixed order cap
-    ``atoms.ORDER_CAP`` (12), whether a derivative builds it or the
-    parser reads it."""
+    ``atoms.ORDER_CAP``, whether a derivative builds it or the parser
+    reads it."""
 
 
 class ExpressionError(NsaError):

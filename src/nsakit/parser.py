@@ -52,9 +52,6 @@ from .errors import (
 from .expr import DiffExpr, int_digit_limit, ln
 from .record import Record
 
-RESERVED = {"t", "x", "u", "v", "ln", "phi", "param", "func", "deriv",
-            "symmetry", "conserved"}
-
 
 class ReorderedSubscriptWarning(UserWarning):
     """A jet or partial subscript was given out of canonical order."""
@@ -170,6 +167,8 @@ _BUILTINS = {"t": IndepVar("t"), "x": IndepVar("x"), "u": Jet("u"),
 # a symmetry takes a name after its keyword
 _BLOCKS = {"symmetry": (PointSymmetry, ("tau", "xi", "eta")),
            "conserved": (ConservedVector, ("c0", "c1"))}
+
+RESERVED = {*_BUILTINS, *_BLOCKS, "ln", "param", "func", "deriv"}
 
 
 class _Parser:

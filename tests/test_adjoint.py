@@ -26,7 +26,6 @@ from nsakit import (
     nsa_check,
     parse_document,
     parse_expression,
-    partial_coord,
     primitive_normal,
 )
 from nsakit import adjoint, calculus
@@ -298,7 +297,7 @@ def test_collect_pairs_rebuild_the_residual_and_scale_to_the_system():
     phi = unknown("phi")
     for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
         eq = load_fixture(path.name).equations[0]
-        residual = adjoint._nsa_residual(eq, phi, partial_coord(phi, "u"))
+        residual = adjoint._nsa_residual(eq, phi)
         selected = {j for j in residual.jets("u") if j.order() >= 1}
         pairs = residual.collect(selected)
         assert DiffExpr.sum(key * c for key, c in pairs) == residual, path.name
@@ -311,7 +310,8 @@ def test_collect_pairs_rebuild_the_residual_and_scale_to_the_system():
 
 
 def test_nsa_residual_is_the_euler_operator_of_phi_times_f():
-    """F*|_{v=phi} + phi_u*F = E_u(phi*F) for every phi(x, t, u).
+    """F*|_(v=phi) + phi_*(F) = E_u(phi*F) for every phi(x, t, u), where
+    phi_* = phi_u.
 
     The residual is built from the stored adjoint and substitute_dependent,
     the right side from euler alone, so each checks the others.
@@ -327,8 +327,17 @@ def test_nsa_residual_is_the_euler_operator_of_phi_times_f():
         eq = genexpr.random_equation(rng)
         cases += [(eq, phi), (eq, genexpr.random_point_function(rng))]
     for eq, f in cases:
-        residual = adjoint._nsa_residual(eq, f, partial_coord(f, "u"))
+        residual = adjoint._nsa_residual(eq, f)
         assert residual == euler(f * eq.lhs, "u"), (eq.lhs, f)
+
+
+def test_nsa_residual_takes_a_differential_substitution():
+    """On KdV, F*|_(v=phi) + phi_*(F) vanishes for phi = u_xx + 1/2*u^2,
+    whose linearization is phi_* = D_x^2 + u, and not for u_xx + u^2."""
+    eq = Equation(parse_expression("u_t + u*u_x + u_xxx"))
+    assert adjoint._nsa_residual(eq, parse_expression("u_xx + 1/2*u^2")).is_zero
+    residual = adjoint._nsa_residual(eq, parse_expression("u_xx + u^2"))
+    assert str(residual) == "-3*u_x*u_xx"
 
 
 def test_stored_adjoint_is_the_euler_operator_of_the_lagrangian():

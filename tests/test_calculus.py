@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from genexpr import (
@@ -415,15 +416,36 @@ def test_prolonged_action_verifies_symmetries():
 
 
 def test_prolonged_action_matches_characteristic_form():
-    """X(F) mod F=0 equals the linearized action on the characteristic."""
-    eq = Equation(parse_expression("u_t + u*u_xxx"))
-    sym = PointSymmetry(T, DiffExpr.zero(), -U)
-    w = characteristic(sym)
-    lin = DiffExpr.zero()
-    # Frechet derivative of F in the direction w
-    for jet_atom in {a for a in eq.lhs.atoms() if isinstance(a, Jet)}:
-        coeff = partial_jet(eq.lhs, jet_atom)
-        lin = lin + coeff * total_derivative(
-            total_derivative(w, "t", jet_atom.t_order), "x", jet_atom.x_order
-        )
-    assert reduce_mod(lin, [eq]) == prolonged_action(sym, eq)
+    """X(F) mod F=0 equals the linearized action on the characteristic,
+    and linearization equals the hand-rolled Frechet sum, for a scaling of
+    u_t + u*u_xxx and every symmetry the fixtures record."""
+    cases = [(Equation(parse_expression("u_t + u*u_xxx")),
+              PointSymmetry(T, DiffExpr.zero(), -U))]
+    for path in sorted(resources.files("nsakit").joinpath("fixtures").iterdir()):
+        doc = load_fixture(path.name)
+        cases += [(doc.equations[0], sym) for sym in doc.symmetries]
+    assert len(cases) == 16
+    for eq, sym in cases:
+        w = characteristic(sym)
+        lin = DiffExpr.zero()
+        # Frechet derivative of F in the direction w
+        for jet_atom in {a for a in eq.lhs.atoms() if isinstance(a, Jet)}:
+            coeff = partial_jet(eq.lhs, jet_atom)
+            lin = lin + coeff * total_derivative(
+                total_derivative(w, "t", jet_atom.t_order), "x", jet_atom.x_order
+            )
+        assert calculus.linearization(eq.lhs, w) == lin, (eq.lhs, sym)
+        assert reduce_mod(lin, [eq]) == prolonged_action(sym, eq), (eq.lhs, sym)
+
+
+def test_linearization_decides_a_generalized_symmetry():
+    """KdV's fifth-order flow Q is a generalized symmetry: F_*(Q) vanishes
+    on solutions, and a wrong coefficient leaves a residual."""
+    eq = Equation(parse_expression("u_t + 6*u*u_x + u_xxx"))
+    flow = "u_xxxxx + 10*u*u_xxx + 20*u_x*u_xx + {}*u^2*u_x"
+    q = parse_expression(flow.format(30))
+    assert reduce_mod(calculus.linearization(eq.lhs, q), eq).is_zero
+    q = parse_expression(flow.format(31))
+    assert str(reduce_mod(calculus.linearization(eq.lhs, q), eq)) == (
+        "6*u*u_x*u_xxx + 6*u*u_xx^2 + 12*u_x^2*u_xx"
+    )

@@ -357,6 +357,14 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     assert code == 2
     assert err == "error: no substitution in the document; pass --phi\n"
 
+    # a differential substitution is not a phi(x, t, u)
+    code, out, err = run(
+        capsys, "check-nsa", doc_path("u_t + u*u_x + u_xxx = 0;"),
+        "--phi", "u_xx + 1/2*u^2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: phi may depend on x, t, u only (found u_xx)\n"
+
     code, _, err = run(
         capsys,
         "check-symmetry",
@@ -419,6 +427,34 @@ def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert "undeclared identifier" in payload["message"]
+
+
+def test_usage_errors_keep_the_error_contract(capsys):
+    """A missing argument, an unknown option and an invalid command exit
+    2 with one ``error:`` line on stderr, or with --json a JSON error on
+    stdout; -h still prints the usage on stdout and exits 0."""
+    cases = (
+        (("check-nsa",),
+         "nsakit check-nsa: the following arguments are required: file"),
+        (("catalog", "verify", "--nope"),
+         "nsakit: unrecognized arguments: --nope"),
+        (("bogus",), "nsakit: argument command: invalid choice: "),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, argv
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, ""), argv
+        payload = json.loads(out)
+        assert payload.keys() == {"status", "message"}, argv
+        assert payload["status"] == "error", argv
+        assert payload["message"].startswith(message), argv
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-nsa", "-h"])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: nsakit check-nsa ") and err == ""
 
 
 def test_a_rule_that_primes_its_own_function_is_refused(capsys, doc_path):

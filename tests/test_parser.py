@@ -22,6 +22,7 @@ from nsakit import (
     parse_symmetry,
     print_document,
 )
+from nsakit import parser
 from nsakit.catalog import load_fixture
 from nsakit.parser import print_declarations
 from nsakit.errors import DeclarationError, ParseError, UnsupportedInputError
@@ -128,6 +129,15 @@ def test_declaration_errors():
 def test_declaration_error_messages(text, message):
     with pytest.raises(DeclarationError, match=f"^{message}$"):
         parse_document(text)
+
+
+def test_every_builtin_and_keyword_is_reserved():
+    """Each built-in symbol, block keyword and declaration word is refused
+    as a declared name."""
+    words = (*parser._BUILTINS, *parser._BLOCKS, "ln", "param", "func", "deriv")
+    for name in words:
+        with pytest.raises(DeclarationError, match=f"^1:1: '{name}' is reserved$"):
+            parse_document(f"param {name}; u_t = 0;")
 
 
 def test_undeclared_identifier_reports_position():
