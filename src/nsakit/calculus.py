@@ -43,28 +43,34 @@ def _leibniz(e: DiffExpr, atom_rule: Callable[[Atom], Optional[DiffExpr]]) -> Di
     zero).  The power rule handles integer exponents of either sign, and
     ln(g) differentiates to D(g) * g^-1 under the same rule, which needs g
     to be a single monomial unless D(g) is zero.  Every monomial
-    exp*coeff*rest*D(atom) goes into one dict, normalized once.
+    exp*coeff*rest*D(atom) goes into one dict, normalized once.  The terms
+    are visited in stored order; on a refusal they are visited again in
+    canonical order, so that the refusal names the first refused term.
     """
     data: dict = {}
-    for factors, coeff in e.terms:
-        for i, (atom, exp) in enumerate(factors):
-            if isinstance(atom, Log):
-                darg = _leibniz(atom.arg, atom_rule)
-                if darg and len(atom.arg.terms) > 1:
-                    raise UnsupportedInputError(
-                        f"cannot differentiate {atom}: its argument is a sum"
-                    )
-                da = None if darg.is_zero else darg * atom.arg**-1
-            else:
-                da = atom_rule(atom)
-            if da is None or da.is_zero:
-                continue
-            if exp == 1:
-                rest, scale = factors[:i] + factors[i + 1:], coeff
-            else:
-                rest = factors[:i] + ((atom, exp - 1),) + factors[i + 1:]
-                scale = coeff * exp
-            _accumulate_product(data, rest, scale, da.terms)
+    try:
+        for factors, coeff in e._terms:
+            for i, (atom, exp) in enumerate(factors):
+                if isinstance(atom, Log):
+                    darg = _leibniz(atom.arg, atom_rule)
+                    if darg and len(atom.arg._terms) > 1:
+                        why = f"cannot differentiate {atom}: its argument is a sum"
+                        raise UnsupportedInputError(why)
+                    da = None if darg.is_zero else darg * atom.arg**-1
+                else:
+                    da = atom_rule(atom)
+                if da is None or da.is_zero:
+                    continue
+                if exp == 1:
+                    rest, scale = factors[:i] + factors[i + 1:], coeff
+                else:
+                    rest = factors[:i] + ((atom, exp - 1),) + factors[i + 1:]
+                    scale = coeff * exp
+                _accumulate_product(data, rest, scale, da._terms)
+    except UnsupportedInputError:
+        if e._ordered:
+            raise
+        return _leibniz(DiffExpr._raw(e.terms), atom_rule)
     return DiffExpr._from_dict(data)
 
 
@@ -136,11 +142,8 @@ def derivative(table: dict, m: int, k: int) -> DiffExpr:
     """
     d = table.get((m, k))
     if d is None:
-        if m:
-            d = total_derivative(derivative(table, m - 1, k), "t")
-        else:
-            d = total_derivative(derivative(table, 0, k - 1), "x")
-        table[m, k] = d
+        lower = derivative(table, m - 1, k) if m else derivative(table, 0, k - 1)
+        d = table[m, k] = total_derivative(lower, "t" if m else "x")
     return d
 
 
@@ -365,8 +368,7 @@ def reduce_mod(e: Union[DiffExpr, int], eqs) -> DiffExpr:
     the solved right side, until none remain; a round lowers the highest
     t-order by one.
     """
-    if isinstance(eqs, Equation):
-        eqs = [eqs]
+    eqs = [eqs] if isinstance(eqs, Equation) else eqs
     tables: dict = {}
     for eq in eqs:
         if eq.dep in tables:

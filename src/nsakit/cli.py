@@ -193,12 +193,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _json_parser() -> argparse.ArgumentParser:
+    """The ``--json`` option that every command takes."""
+    common = _ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _json_parser()
     parser = _ArgumentParser(
         prog="nsakit",
         description="adjoint equations, self-adjointness and conservation laws"
@@ -246,7 +251,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except ParseError as exc:
-        return _report_error("--json" in argv, str(exc), 2)
+        # --json as argparse reads it, abbreviated too; an argument that
+        # breaks the option itself, such as --json=1, gets a text error
+        try:
+            as_json = _json_parser().parse_known_args(argv)[0].json
+        except ParseError:
+            as_json = False
+        return _report_error(as_json, str(exc), 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -137,7 +137,7 @@ def density_normalize(cv: ConservedVector, eq: Equation) -> ConservedVector:
     for level in range(work.max_order("u"), 0, -1):
         pieces = [
             h_piece
-            for factors, coeff in work.terms
+            for factors, coeff in work._terms
             if (h_piece := _transfer_candidate(factors, coeff, level)) is not None
         ]
         if pieces:

@@ -8,11 +8,16 @@ whose denominator exceeds 1.  The zero expression is the empty sum.
 Expressions are normalized on construction and immutable afterwards:
 factors are sorted by atom (an atom's tuple value is its place in the
 order), like monomials are merged, zero coefficients and zero exponents are
-dropped.  Equality, hashing and printing are therefore structural and
-deterministic.  ``_accumulate_product`` is the one place where the
-factors of two monomials are merged; every product, derivation and
-substitution builds its monomials through it, except a number times an
-expression, which only scales the coefficients.
+dropped and coefficients are canonical.  The order of the monomials is
+fixed when it is first read (``terms``, printing, ``<``,
+``leading_coeff``, ``atoms``): the first reader sorts them by their
+factors once and keeps the sorted tuple, so arithmetic, derivation and
+substitution never sort.  Equality and hashing do not depend on the
+order; both are structural, and printing is deterministic.
+``_accumulate_product`` is the one place where the factors of two
+monomials are merged; every product, derivation and substitution builds
+its monomials through it, except a number times an expression, which
+only scales the coefficients.
 
 There are no floating point numbers anywhere and no automatic rewriting
 beyond ring arithmetic: ln stays opaque, coefficient functions stay
@@ -81,7 +86,11 @@ def _accumulate_product(data: dict, f1: Factors, c1, terms: tuple) -> None:
 class DiffExpr:
     """Normalized sum of monomials; supports +, -, *, /, ** and unary -."""
 
-    __slots__ = ("_terms",)
+    # _terms holds (factors, coefficient) pairs, unique by factors; when
+    # _ordered is false they are still in the order they were built in.
+    # The first reader of the order writes _terms before _ordered, so code
+    # that reads _ordered first never pairs a true flag with unsorted terms.
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(self):
         raise ExpressionError("use the factory classmethods or arithmetic")
@@ -89,22 +98,22 @@ class DiffExpr:
     # construction -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: tuple) -> "DiffExpr":
+    def _raw(cls, terms: tuple, ordered: bool = True) -> "DiffExpr":
         e = object.__new__(cls)
         e._terms = terms
+        e._ordered = ordered
         return e
 
     @classmethod
     def _from_dict(cls, data: dict) -> "DiffExpr":
-        """The one normalization: drop zero coefficients, turn integral
-        Fractions into ints, sort monomials."""
-        items = [
+        """The one normalization: drop zero coefficients and turn integral
+        Fractions into ints.  The monomials are sorted when first read."""
+        items = tuple([
             (f, c if c.__class__ is int or c.denominator != 1 else c.numerator)
             for f, c in data.items()
             if c
-        ]
-        items.sort()
-        return cls._raw(tuple(items))
+        ])
+        return cls._raw(items, len(items) < 2)
 
     @classmethod
     def sum(cls, summands: Iterable[Scalar]) -> "DiffExpr":
@@ -145,7 +154,12 @@ class DiffExpr:
 
     @property
     def terms(self) -> tuple:
-        """The stored (factors, coefficient) pairs, in canonical order."""
+        """The (factors, coefficient) pairs, merged, zero-free and with
+        canonical coefficients, in canonical order: sorted by factors
+        when first read, and kept sorted."""
+        if not self._ordered:
+            self._terms = tuple(sorted(self._terms))
+            self._ordered = True
         return self._terms
 
     @property
@@ -153,24 +167,29 @@ class DiffExpr:
         return not self._terms
 
     def leading_coeff(self) -> Coeff:
-        if not self._terms:
-            return 0
-        return self._terms[0][1]
+        terms = self.terms
+        return terms[0][1] if terms else 0
 
     def atoms(self) -> Iterator[Atom]:
-        """All atoms, descending into ln arguments."""
-        for factors, _ in self._terms:
+        """All atoms in canonical order, descending into ln arguments."""
+        for factors, _ in self.terms:
             for atom, _exp in factors:
                 yield atom
                 if isinstance(atom, Log):
                     yield from atom.arg.atoms()
 
     def jets(self, dep: Optional[str] = None) -> set:
-        return {
-            a
-            for a in self.atoms()
-            if isinstance(a, Jet) and (dep is None or a.dep == dep)
-        }
+        """The jets of ``dep`` (of every dependent when None), in ln
+        arguments too."""
+        found = set()
+        for factors, _ in self._terms:
+            for atom, _exp in factors:
+                if isinstance(atom, Jet):
+                    if dep is None or atom.dep == dep:
+                        found.add(atom)
+                elif isinstance(atom, Log):
+                    found |= atom.arg.jets(dep)
+        return found
 
     def free_of_dep(self, dep: str) -> bool:
         return not self.jets(dep)
@@ -179,7 +198,7 @@ class DiffExpr:
         return max((j.order() for j in self.jets(dep)), default=0)
 
     def sort_key(self) -> tuple:
-        return tuple((f, (c.numerator, c.denominator)) for f, c in self._terms)
+        return tuple((f, (c.numerator, c.denominator)) for f, c in self.terms)
 
     def __lt__(self, other: "DiffExpr") -> bool:
         return self.sort_key() < other.sort_key()
@@ -203,7 +222,8 @@ class DiffExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "DiffExpr":
-        return DiffExpr._raw(tuple((f, -c) for f, c in self._terms))
+        ordered = self._ordered
+        return DiffExpr._raw(tuple((f, -c) for f, c in self._terms), ordered)
 
     def __sub__(self, other) -> "DiffExpr":
         o = self._coerce(other)
@@ -239,7 +259,9 @@ class DiffExpr:
         terms sort by their factors alone and scaling keeps their order."""
         if q == 1:
             return self
-        return DiffExpr._raw(tuple((f, _canonical(c * q)) for f, c in self._terms))
+        ordered = self._ordered
+        terms = tuple((f, _canonical(c * q)) for f, c in self._terms)
+        return DiffExpr._raw(terms, ordered)
 
     def __pow__(self, exponent) -> "DiffExpr":
         if not isinstance(exponent, int):
@@ -315,14 +337,20 @@ class DiffExpr:
         arguments are an error.
         """
         chosen = frozenset(selected)
-        for factors, _ in self._terms:
-            for atom, exp in factors:
-                if atom in chosen and exp < 0:
-                    raise CollectError(f"{atom} occurs with negative exponent")
-                if isinstance(atom, Log):
-                    inside = set(atom.arg.atoms()) & chosen
-                    if inside:
-                        raise CollectError(f"{min(inside)} occurs inside {atom}")
+
+        def refusals(terms):
+            for factors, _ in terms:
+                for atom, exp in factors:
+                    if atom in chosen and exp < 0:
+                        yield f"{atom} occurs with negative exponent"
+                    if isinstance(atom, Log):
+                        inside = set(atom.arg.atoms()) & chosen
+                        if inside:
+                            yield f"{min(inside)} occurs inside {atom}"
+
+        # scan in stored order; a refusal names the first in canonical order
+        if next(refusals(self._terms), None):
+            raise CollectError(next(refusals(self.terms)))
         groups: dict = {}
         for factors, coeff in self._terms:
             key = tuple(it for it in factors if it[0] in chosen)
@@ -344,14 +372,19 @@ class DiffExpr:
             other = DiffExpr.number(other)
         if not isinstance(other, DiffExpr):
             return NotImplemented
-        return self._terms == other._terms
+        if self._ordered and other._ordered:
+            return self._terms == other._terms
+        # factor keys are unique, so the terms compare exactly as mappings
+        mine, theirs = self._terms, other._terms
+        return len(mine) == len(theirs) and dict(mine) == dict(theirs)
 
     def __hash__(self) -> int:
-        # a number hashes like the int or Fraction it equals, zero like 0
+        # independent of the term order; a number hashes like the int or
+        # Fraction it equals, zero like 0
         terms = self._terms
         if len(terms) == 1 and not terms[0][0]:
             return hash(terms[0][1])
-        return hash(terms) if terms else hash(0)
+        return hash(frozenset(terms)) if terms else hash(0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -361,7 +394,7 @@ class DiffExpr:
         # int/str conversion limit str() raises ValueError
         pieces = []
         try:
-            for factors, coeff in self._terms:
+            for factors, coeff in self.terms:
                 body = "*".join(
                     str(atom) if exp == 1 else f"{atom}^{exp}" for atom, exp in factors
                 )
@@ -415,14 +448,20 @@ def ln(argument: Scalar) -> DiffExpr:
 
 def primitive_normal(e: DiffExpr) -> DiffExpr:
     """Scale by a rational so integer coefficients are coprime and the
-    leading one is positive.  Zero stays zero."""
-    if e.is_zero:
+    leading one is positive.  Zero stays zero.
+
+    With L the lcm of the denominators and g the gcd of the numerators,
+    negated when the leading (least) term is negative, n/d becomes
+    (n // g) * (L // d): exact integers, and the term order is kept."""
+    ordered, terms = e._ordered, e._terms
+    if not terms:
         return e
-    nums, dens = zip(*((c.numerator, c.denominator) for _, c in e._terms))
-    scale = Fraction(lcm(*dens), gcd(*nums))
-    if e._terms[0][1] < 0:
-        scale = -scale
-    return e * scale
+    big = lcm(*(c.denominator for _, c in terms))
+    g = gcd(*(c.numerator for _, c in terms))
+    if min(terms)[1] < 0:
+        g = -g
+    scaled = tuple((f, c.numerator // g * (big // c.denominator)) for f, c in terms)
+    return DiffExpr._raw(scaled, ordered)
 
 
 # convenience expression constants

@@ -338,6 +338,22 @@ def test_exit_2_input_errors(capsys, doc_path, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: 1:107: expression nested deeper than 100 levels\n"
 
+    # a refusal names the first offending atom in canonical order
+    for text, message in (
+        ("u_t + u*u_x = 0; phi = u_xx + u_x + u_xxx*x;\n",
+         "1:18: phi may depend on x, t, u only (found u_xxx)"),
+        ("u_t + u_x = 0; phi = x*u_x + t*u_xx;\n",
+         "1:16: phi may depend on x, t, u only (found u_xx)"),
+    ):
+        code, out, err = run(capsys, "check-nsa", doc_path(text))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+    text = ("u_t + u*u_x = 0; phi = u;"
+            " symmetry s { tau = u_xxx + u_x*t + u_xx; xi = 0; eta = 0; }\n")
+    code, out, err = run(capsys, "check-symmetry", doc_path(text), "--symmetry", "s")
+    assert (code, out) == (2, "")
+    assert err == ("error: 1:27: symmetry component tau may depend on x, t, u only"
+                   " (found u_x)\n")
+
     undecodable = tmp_path / "latin1.nsa"
     undecodable.write_bytes(b"u_t + u_x = 0; # \xff\n")
     code, out, err = run(capsys, "adjoint", str(undecodable))
@@ -432,7 +448,8 @@ def test_exit_2_json_error_goes_to_stdout(capsys, doc_path):
 def test_usage_errors_keep_the_error_contract(capsys):
     """A missing argument, an unknown option and an invalid command exit
     2 with one ``error:`` line on stderr, or with --json a JSON error on
-    stdout; -h still prints the usage on stdout and exits 0."""
+    stdout, also when --json is abbreviated as argparse allows; -h still
+    prints the usage on stdout and exits 0."""
     cases = (
         (("check-nsa",),
          "nsakit check-nsa: the following arguments are required: file"),
@@ -444,12 +461,13 @@ def test_usage_errors_keep_the_error_contract(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, argv
-        code, out, err = run(capsys, *argv, "--json")
-        assert (code, err) == (2, ""), argv
-        payload = json.loads(out)
-        assert payload.keys() == {"status", "message"}, argv
-        assert payload["status"] == "error", argv
-        assert payload["message"].startswith(message), argv
+        for flag in ("--json", "--js"):
+            code, out, err = run(capsys, *argv, flag)
+            assert (code, err) == (2, ""), (argv, flag)
+            payload = json.loads(out)
+            assert payload.keys() == {"status", "message"}, (argv, flag)
+            assert payload["status"] == "error", (argv, flag)
+            assert payload["message"].startswith(message), (argv, flag)
     with pytest.raises(SystemExit) as exit_info:
         main(["check-nsa", "-h"])
     assert exit_info.value.code == 0
@@ -511,6 +529,13 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
          "ln(1 + x)"),
         (("check-symmetry", sym_doc, "--symmetry",
           "tau = ln(x+t); xi = 0; eta = 0"), "ln(t + x)"),
+        # the first refused ln in canonical order: the characteristic
+        # eta - tau*u_t - xi*u_x is built with eta's term first
+        (("check-symmetry", sym_doc, "--symmetry",
+          "tau = 0; xi = ln(u+x); eta = ln(t+u)"), "ln(x + u)"),
+        (("adjoint", doc_path(
+            "u_t + ln(x+t)*u_x^2 + ln(u+x)*u_xx + ln(t+u)*u = 0;\n", "lns.nsa"
+        )), "ln(t + u)"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (
@@ -521,6 +546,11 @@ def test_exit_3_unsupported_inputs(capsys, doc_path):
         ("u_t + u_x^-1 = 0;\n", "u_x occurs with negative exponent"),
         ("u_t + ln(u_x)*u_xxx = 0;\n", "u_x occurs with negative exponent"),
         ("u_t + ln(2*u_x)*u_xx = 0;\n", "u_x occurs inside ln(2*u_x)"),
+        # the first offending atom in canonical order
+        ("u_t + u_x^-1 + u_xx^-1*u + u_xxx^-2 = 0;\n",
+         "u_xx occurs with negative exponent"),
+        ("u_t + ln(2*u_x)*u_xx + ln(3*u_xx)*u_x = 0;\n",
+         "u_xx occurs with negative exponent"),
     ):
         code, out, err = run(capsys, "determining", doc_path(text))
         assert (code, out, err) == (3, "", f"error: {message}\n"), text

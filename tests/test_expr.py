@@ -348,6 +348,25 @@ def test_primitive_normal_scales_to_integer_content():
     assert primitive_normal(e) == U + 2 * U_X
     assert primitive_normal(-2 * U) == U
     assert primitive_normal(DiffExpr.zero()).is_zero
+    # the leading term is the least one, not the first one built
+    e = DiffExpr.sum([Fraction(2, 5) * U_X, Fraction(-4, 3) * X])
+    assert str(primitive_normal(e)) == "10*x - 3*u_x"
+
+
+def test_term_order_is_fixed_when_first_read():
+    """Terms stay in the order they were built until something reads the
+    order; equality, hashing and derivation do not, and give the same
+    answers as for the same sum built in canonical order."""
+    built = DiffExpr.sum([U_X, -3 * U, X**2, Fraction(1, 2) * T])
+    twin = DiffExpr.sum([Fraction(1, 2) * T, X**2, -3 * U, U_X])
+    stored = built._terms
+    assert built == twin and hash(built) == hash(twin)
+    assert built != twin + U and hash(built) == hash(twin + U - U)
+    assert total_derivative(built, "x") == 2 * X - 3 * U_X + U_XX
+    assert built._terms is stored
+    assert built.terms == twin.terms == tuple(sorted(stored)) != stored
+    assert built._terms is built.terms
+    assert built == twin and str(built) == "1/2*t + x^2 - 3*u + u_x"
 
 
 def test_as_expr_and_equal():

@@ -182,6 +182,23 @@ def test_cli_import_loads_every_layer_and_no_heavy_module():
     assert not added & {"dataclasses", "inspect"}
 
 
+def test_package_imports_exactly_these_standard_modules():
+    """Every process that imports the package pays for these modules, so a
+    new one is a decision made here, not a side effect of a change."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    assert found == {
+        "__future__", "argparse", "bisect", "enum", "fractions", "functools",
+        "json", "math", "operator", "os", "re", "sys", "types", "typing",
+        "warnings",
+    }
+
+
 def test_catalog_verify_reads_fixtures_with_the_plain_file_reader():
     """A full ``catalog verify`` loads no path or package-resource module."""
     added = _bare_modules(
